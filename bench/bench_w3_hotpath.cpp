@@ -68,7 +68,7 @@ class FanoutBehavior final : public sim::ProcessBehavior {
     }
   }
 
-  void on_send(sim::Round, sim::Outbox& out) override { out.broadcast(msg_); }
+  void on_send(sim::Round, sim::Outbox& out) override { out.broadcast(sim::PayloadRef(msg_)); }
   void on_receive(sim::Round, const sim::Inbox& inbox) override { delivered_ += inbox.size(); }
   [[nodiscard]] bool done() const override { return false; }
 

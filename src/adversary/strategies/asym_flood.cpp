@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <memory>
 #include <set>
+#include <utility>
 
 namespace byzrename::adversary {
 
@@ -184,8 +185,10 @@ class AsymFastBehavior final : public sim::ProcessBehavior {
     sim::MultiEchoMsg plain_echo;
     for (const auto& [index, id] : env_.correct) plain_echo.ids.push_back(id);
 
-    for (const sim::ProcessIndex dest : favored_) out.send_to(dest, favored_echo);
-    for (const sim::ProcessIndex dest : disfavored_) out.send_to(dest, plain_echo);
+    const sim::PayloadRef favored(std::move(favored_echo));
+    const sim::PayloadRef plain(std::move(plain_echo));
+    for (const sim::ProcessIndex dest : favored_) out.send_to(dest, favored);
+    for (const sim::ProcessIndex dest : disfavored_) out.send_to(dest, plain);
   }
 
   void on_receive(sim::Round, const sim::Inbox&) override {}

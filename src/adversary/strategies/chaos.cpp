@@ -1,9 +1,8 @@
 #include "adversary/strategies/strategies.h"
 
-#include <algorithm>
+#include <array>
 
 #include "core/op_renaming.h"
-#include "core/rank_approx.h"
 #include "numeric/rational.h"
 #include "sim/rng.h"
 
@@ -42,29 +41,19 @@ class ChaosBehavior final : public sim::ProcessBehavior {
       }
       return;
     }
+    // Each fixed face is built at most once per round and shared by
+    // every receiver that draws it; only the shift face varies per draw.
+    std::array<sim::PayloadRef, kFaces> faces;
     for (const auto& [index, id] : env_.correct) {
-      switch (rng_.uniform(0, 6)) {
-        case 0:
-          break;  // silence
-        case 1:
-          out.send_to(index, core::encode_vote(inner_->ranks()));  // honest
-          break;
-        case 2:
-          out.send_to(index, crafted(CompressToMinimum{}));
-          break;
-        case 3:
-          out.send_to(index, crafted(Stretch{}));
-          break;
-        case 4:
-          out.send_to(index, crafted(Shift{rng_.uniform(-1000, 1000)}));
-          break;
-        case 5:
-          out.send_to(index, crafted(Squeeze{}));  // invalid: sub-delta spacing
-          break;
-        default:
-          out.send_to(index, crafted(PunchHole{}));  // invalid: drops an id
-          break;
+      const auto draw = static_cast<Face>(rng_.uniform(0, 6));
+      if (draw == Face::kSilence) continue;
+      if (draw == Face::kShift) {
+        out.send_to(index, crafted(Face::kShift, rng_.uniform(-1000, 1000)));
+        continue;
       }
+      sim::PayloadRef& face = faces[static_cast<std::size_t>(draw)];
+      if (!face) face = crafted(draw, 0);
+      out.send_to(index, face);
     }
   }
 
@@ -75,34 +64,45 @@ class ChaosBehavior final : public sim::ProcessBehavior {
   [[nodiscard]] bool done() const override { return true; }
 
  private:
-  struct CompressToMinimum {};
-  struct Stretch {};
-  struct Shift {
-    std::int64_t amount;
+  /// One per draw of rng_.uniform(0, 6), in draw order.
+  enum class Face {
+    kSilence,
+    kHonest,
+    kCompressToMinimum,
+    kStretch,
+    kShift,
+    kSqueeze,    ///< invalid: sub-delta spacing
+    kPunchHole,  ///< invalid: drops an id
   };
-  struct Squeeze {};
-  struct PunchHole {};
+  static constexpr std::size_t kFaces = 7;
 
-  template <typename Kind>
-  [[nodiscard]] sim::RanksMsg crafted(Kind kind) {
-    core::RankMap vote;
+  [[nodiscard]] sim::PayloadRef crafted(Face face, std::int64_t shift) const {
+    core::VoteBuilder vote = inner_->vote_builder();
     std::int64_t position = 0;
-    for (const auto& [id, rank] : inner_->ranks()) {
+    inner_->for_each_rank([&](const core::RankRef& rank) {
       ++position;
-      if constexpr (std::is_same_v<Kind, CompressToMinimum>) {
-        vote.emplace(id, Rational(position) * delta_);
-      } else if constexpr (std::is_same_v<Kind, Stretch>) {
-        vote.emplace(id, Rational(3 * position) * delta_);
-      } else if constexpr (std::is_same_v<Kind, Shift>) {
-        vote.emplace(id, rank + Rational(kind.amount));
-      } else if constexpr (std::is_same_v<Kind, Squeeze>) {
-        vote.emplace(id, Rational(position) * delta_ / Rational(2));
-      } else {
-        static_assert(std::is_same_v<Kind, PunchHole>);
-        if (position != 1) vote.emplace(id, rank);
+      switch (face) {
+        case Face::kCompressToMinimum:
+          vote.push_deltas(rank.id, position);
+          break;
+        case Face::kStretch:
+          vote.push_deltas(rank.id, 3 * position);
+          break;
+        case Face::kShift:
+          vote.push(rank, 0, shift);
+          break;
+        case Face::kSqueeze:
+          vote.push(rank.id, Rational(position) * delta_ / Rational(2));
+          break;
+        case Face::kPunchHole:
+          if (position != 1) vote.push(rank);
+          break;
+        default:
+          vote.push(rank);  // honest
+          break;
       }
-    }
-    return core::encode_vote(vote);
+    });
+    return vote.wrap();
   }
 
   AdversaryEnv env_;

@@ -1,6 +1,7 @@
 #include "adversary/strategies/strategies.h"
 
 #include <algorithm>
+#include <utility>
 
 namespace byzrename::adversary {
 
@@ -88,8 +89,10 @@ class SuppressFastBehavior final : public sim::ProcessBehavior {
     for (const auto& [index, id] : env_.correct) without_faulty.ids.push_back(id);
     sim::MultiEchoMsg with_faulty = without_faulty;
     for (const sim::Id id : env_.byz_ids) with_faulty.ids.push_back(id);
+    const sim::PayloadRef with(std::move(with_faulty));
+    const sim::PayloadRef without(std::move(without_faulty));
     for (std::size_t c = 0; c < env_.correct.size(); ++c) {
-      out.send_to(env_.correct[c].first, c < half ? with_faulty : without_faulty);
+      out.send_to(env_.correct[c].first, c < half ? with : without);
     }
   }
 

@@ -1,16 +1,10 @@
 #include "adversary/strategies/strategies.h"
 
-#include <algorithm>
-
 #include "core/op_renaming.h"
-#include "core/rank_approx.h"
-#include "numeric/rational.h"
 
 namespace byzrename::adversary {
 
 namespace {
-
-using numeric::Rational;
 
 /// The composed worst case for Alg. 1's convergence built entirely from
 /// *valid* messages: the calibrated asymmetric-flood selection (Lemma
@@ -34,7 +28,6 @@ class HybridBehavior final : public sim::ProcessBehavior {
       : env_(env),
         plan_(std::move(plan)),
         member_(member),
-        delta_(core::delta(env.params)),
         inner_(std::make_unique<core::OpRenamingProcess>(env.params, my_id, env.options)) {}
 
   void on_send(sim::Round round, sim::Outbox& out) override {
@@ -54,16 +47,15 @@ class HybridBehavior final : public sim::ProcessBehavior {
     // trimming cannot discard it — while pulling each group toward the
     // other side as slowly as validity allows. Both faces keep exact
     // delta spacing, so both pass isValid at every receiver.
-    const Rational fake_offset =
-        Rational(static_cast<std::int64_t>(plan_->fake_ids.size())) * delta_;
-    core::RankMap low_face;
-    core::RankMap high_face;
-    for (const auto& [id, rank] : inner_->ranks()) {
-      low_face.emplace(id, rank);
-      high_face.emplace(id, rank + fake_offset);
-    }
-    const sim::RanksMsg low = core::encode_vote(low_face);
-    const sim::RanksMsg high = core::encode_vote(high_face);
+    const auto fakes = static_cast<std::int64_t>(plan_->fake_ids.size());
+    core::VoteBuilder low_face = inner_->vote_builder();
+    core::VoteBuilder high_face = inner_->vote_builder();
+    inner_->for_each_rank([&](const core::RankRef& rank) {
+      low_face.push(rank);
+      high_face.push(rank, fakes);
+    });
+    const sim::PayloadRef low = low_face.wrap();
+    const sim::PayloadRef high = high_face.wrap();
     const std::size_t half = env_.correct.size() / 2;
     for (std::size_t c = 0; c < env_.correct.size(); ++c) {
       // Indices < half are the disfavored group (asym plan convention).
@@ -81,7 +73,6 @@ class HybridBehavior final : public sim::ProcessBehavior {
   AdversaryEnv env_;
   std::shared_ptr<const detail::AsymSelectionPlan> plan_;
   int member_;
-  Rational delta_;
   std::unique_ptr<core::OpRenamingProcess> inner_;
 };
 

@@ -1,9 +1,8 @@
 #include "adversary/strategies/strategies.h"
 
-#include <algorithm>
+#include <optional>
 
 #include "core/op_renaming.h"
-#include "core/rank_approx.h"
 #include "numeric/rational.h"
 
 namespace byzrename::adversary {
@@ -46,14 +45,16 @@ class OrderBreakBehavior final : public sim::ProcessBehavior {
       return;
     }
 
-    core::RankMap vote = inner_->ranks();
     const std::size_t m = env_.correct.size();
+    sim::Id a = 0;
+    sim::Id b = 0;
+    std::optional<Rational> target;
     if (m >= 2) {
-      const sim::Id a = env_.correct[m / 2 - 1].second;
-      const sim::Id b = env_.correct[m / 2].second;
-      const auto it_a = vote.find(a);
-      const auto it_b = vote.find(b);
-      if (it_a != vote.end() && it_b != vote.end()) {
+      a = env_.correct[m / 2 - 1].second;
+      b = env_.correct[m / 2].second;
+      const std::optional<Rational> rank_a = inner_->rank_of(a);
+      const std::optional<Rational> rank_b = inner_->rank_of(b);
+      if (rank_a.has_value() && rank_b.has_value()) {
         // The inner process holds the disfavored (low) view; the favored
         // group sits F*delta higher, halving each round. Aim midway
         // between the two groups' midpoints of [a, b] so the collapsing
@@ -61,12 +62,18 @@ class OrderBreakBehavior final : public sim::ProcessBehavior {
         Rational group_spread =
             Rational(static_cast<std::int64_t>(plan_->fake_ids.size())) * delta_;
         for (sim::Round r = 5; r <= round; ++r) group_spread = group_spread / Rational(2);
-        const Rational target = (it_a->second + it_b->second + group_spread) / Rational(2);
-        it_a->second = target;
-        it_b->second = target;
+        target = (*rank_a + *rank_b + group_spread) / Rational(2);
       }
     }
-    out.broadcast(core::encode_vote(vote));
+    core::VoteBuilder vote = inner_->vote_builder();
+    inner_->for_each_rank([&](const core::RankRef& rank) {
+      if (target.has_value() && (rank.id == a || rank.id == b)) {
+        vote.push(rank.id, *target);
+      } else {
+        vote.push(rank);
+      }
+    });
+    out.broadcast(vote.wrap());
   }
 
   void on_receive(sim::Round round, const sim::Inbox& inbox) override {

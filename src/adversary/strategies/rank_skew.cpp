@@ -2,7 +2,6 @@
 
 #include "core/harness.h"
 #include "core/op_renaming.h"
-#include "core/rank_approx.h"
 #include "numeric/rational.h"
 
 namespace byzrename::adversary {
@@ -29,10 +28,10 @@ class RankSkewBehavior final : public sim::ProcessBehavior {
       for (const sim::Outbox::Entry& entry : inner_out.entries()) out.broadcast(entry.payload);
       return;
     }
-    const Rational shift(round % 2 == 0 ? 1'000'000 : -1'000'000);
-    core::RankMap skewed;
-    for (const auto& [id, rank] : inner_->ranks()) skewed.emplace(id, rank + shift);
-    out.broadcast(core::encode_vote(skewed));
+    const std::int64_t shift = round % 2 == 0 ? 1'000'000 : -1'000'000;
+    core::VoteBuilder skewed = inner_->vote_builder();
+    inner_->for_each_rank([&](const core::RankRef& rank) { skewed.push(rank, 0, shift); });
+    out.broadcast(skewed.wrap());
   }
 
   void on_receive(sim::Round round, const sim::Inbox& inbox) override {

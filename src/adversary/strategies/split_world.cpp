@@ -4,7 +4,6 @@
 
 #include "core/harness.h"
 #include "core/op_renaming.h"
-#include "core/rank_approx.h"
 #include "numeric/rational.h"
 
 namespace byzrename::adversary {
@@ -22,7 +21,6 @@ class SplitWorldBehavior final : public sim::ProcessBehavior {
  public:
   SplitWorldBehavior(const AdversaryEnv& env, sim::Id my_id)
       : env_(env),
-        delta_(core::delta(env.params)),
         inner_(std::make_unique<core::OpRenamingProcess>(env.params, my_id, env.options)) {}
 
   void on_send(sim::Round round, sim::Outbox& out) override {
@@ -33,17 +31,18 @@ class SplitWorldBehavior final : public sim::ProcessBehavior {
       return;
     }
 
-    // Craft the two faces from the inner process's honest accepted set.
-    core::RankMap compressed;
-    core::RankMap stretched;
+    // Craft the two faces from the inner process's honest accepted set,
+    // each once per round, and share them across their targets.
+    core::VoteBuilder compressed = inner_->vote_builder();
+    core::VoteBuilder stretched = inner_->vote_builder();
     std::int64_t position = 0;
-    for (const auto& [id, rank] : inner_->ranks()) {
+    inner_->for_each_rank([&](const core::RankRef& rank) {
       ++position;
-      compressed.emplace(id, Rational(position) * delta_);
-      stretched.emplace(id, Rational(2 * position) * delta_);
-    }
-    const sim::RanksMsg low = core::encode_vote(compressed);
-    const sim::RanksMsg high = core::encode_vote(stretched);
+      compressed.push_deltas(rank.id, position);
+      stretched.push_deltas(rank.id, 2 * position);
+    });
+    const sim::PayloadRef low = compressed.wrap();
+    const sim::PayloadRef high = stretched.wrap();
     const std::size_t half = env_.correct.size() / 2;
     for (std::size_t c = 0; c < env_.correct.size(); ++c) {
       out.send_to(env_.correct[c].first, c < half ? low : high);
@@ -58,7 +57,6 @@ class SplitWorldBehavior final : public sim::ProcessBehavior {
 
  private:
   AdversaryEnv env_;
-  Rational delta_;
   std::unique_ptr<core::OpRenamingProcess> inner_;
 };
 

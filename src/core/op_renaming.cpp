@@ -147,15 +147,22 @@ const RankMap& OpRenamingProcess::ranks() const {
   return ranks_cache_;
 }
 
+std::optional<Rational> OpRenamingProcess::rank_of(Id id) const {
+  if (engine_.has_value()) return engine_->rank_of(id);
+  const auto it = ranks_.find(id);
+  if (it == ranks_.end()) return std::nullopt;
+  return it->second;
+}
+
+VoteBuilder OpRenamingProcess::vote_builder() const {
+  VoteBuilder builder(engine_.has_value() ? &engine_->spec() : nullptr, delta_);
+  builder.reserve(engine_.has_value() ? engine_->rank_count() : ranks_.size());
+  return builder;
+}
+
 void OpRenamingProcess::decide() {
   decided_ = true;
-  std::optional<Rational> rank;
-  if (kernel_ == RankKernel::kExact) {
-    const auto it = ranks_.find(selection_.my_id());
-    if (it != ranks_.end()) rank = it->second;
-  } else {
-    rank = engine_->rank_of(selection_.my_id());
-  }
+  const std::optional<Rational> rank = rank_of(selection_.my_id());
   if (!rank.has_value()) {
     // Cannot happen for valid parameters: my id is timely at every
     // correct process (Lemma IV.2), hence never dropped (Cor. IV.5).

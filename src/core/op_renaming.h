@@ -55,6 +55,22 @@ class OpRenamingProcess final : public sim::ProcessBehavior {
   /// this materializes (and caches) the SoA state, so the reference
   /// stays valid until the next voting step, exactly like before.
   [[nodiscard]] const RankMap& ranks() const;
+  /// Current rank of one id, if still held, without materializing ranks().
+  [[nodiscard]] std::optional<numeric::Rational> rank_of(sim::Id id) const;
+  /// Visits the current ranks in id order without materializing them:
+  /// on-grid limbs on the fixed kernel, exact values otherwise.
+  template <typename Visit>
+  void for_each_rank(Visit&& visit) const {
+    if (engine_.has_value()) {
+      engine_->for_each_rank(visit);
+    } else {
+      for (const auto& [id, rank] : ranks_) visit(RankRef{id, nullptr, &rank});
+    }
+  }
+  /// A vote builder over this instance's grid (classic form throughout
+  /// on the exact kernel), sized for one entry per current rank: how
+  /// Byzantine strategies wrapping this process build their faces.
+  [[nodiscard]] VoteBuilder vote_builder() const;
   [[nodiscard]] sim::Id my_id() const noexcept { return selection_.my_id(); }
   /// Votes rejected by decode/isValid across the whole run.
   [[nodiscard]] int rejected_votes() const noexcept { return rejected_votes_; }

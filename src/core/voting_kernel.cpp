@@ -198,6 +198,132 @@ FixedBallotKernel::Outcome FixedBallotKernel::average(const FixedSpec& spec, lim
 }
 
 // ---------------------------------------------------------------------------
+// VoteBuilder
+// ---------------------------------------------------------------------------
+
+VoteBuilder::VoteBuilder(const FixedSpec* grid, Rational delta)
+    : grid_(grid != nullptr && grid->ok ? grid : nullptr), delta_(std::move(delta)) {}
+
+void VoteBuilder::reserve(std::size_t entries) {
+  ids_.reserve(entries);
+  if (grid_ != nullptr) nums_.reserve(entries * static_cast<std::size_t>(grid_->width));
+}
+
+void VoteBuilder::push(const RankRef& rank, std::int64_t deltas, std::int64_t units) {
+  push_affine(rank.id, &rank, deltas, units);
+}
+
+void VoteBuilder::push_deltas(Id id, std::int64_t deltas) {
+  push_affine(id, nullptr, deltas, 0);
+}
+
+void VoteBuilder::push(Id id, const Rational& value) {
+  limb_t num[kFixedRankLimbs];
+  if (grid_ != nullptr && numeric::rational_to_fixed(value, *grid_, num) == FixedConvert::kOk) {
+    ids_.push_back(id);
+    nums_.insert(nums_.end(), num, num + grid_->width);
+  } else {
+    push_exact(id, value);
+  }
+}
+
+void VoteBuilder::push_exact(Id id, Rational value) {
+  exacts_.emplace_back(static_cast<std::uint32_t>(ids_.size()), std::move(value));
+  ids_.push_back(id);
+  if (grid_ != nullptr) nums_.insert(nums_.end(), static_cast<std::size_t>(grid_->width), 0);
+}
+
+namespace {
+
+/// acc += k * unit over w + 1 limbs, unit a non-negative w + 1 limb
+/// value. False when |k| * unit reaches 2^(64w): the sum may then leave
+/// the accumulator, and the caller takes the exact lane instead.
+bool add_multiple(limb_t* acc, const limb_t* unit, std::int64_t k, int w) noexcept {
+  if (k == 0) return true;
+  const limb_t magnitude =
+      k < 0 ? limb_t{0} - static_cast<limb_t>(k) : static_cast<limb_t>(k);
+  limb_t term[kFixedAccLimbs];
+  if (numeric::limb_mul_1(term, unit, w + 1, magnitude) != 0 || term[w] != 0) return false;
+  if (k < 0) numeric::limb_neg(term, term, w + 1);
+  (void)numeric::limb_add_n(acc, acc, term, w + 1);
+  return true;
+}
+
+}  // namespace
+
+void VoteBuilder::push_affine(Id id, const RankRef* base, std::int64_t deltas,
+                              std::int64_t units) {
+  if (grid_ != nullptr && (base == nullptr || base->num != nullptr)) {
+    // Sum in w + 1 limbs: each term stays below 2^(64w), so the sum
+    // cannot wrap; it is on the grid by construction and joins the
+    // fixed lane iff its magnitude is below 2^(64w - 1), the range
+    // rational_to_fixed accepts.
+    const int w = grid_->width;
+    limb_t acc[kFixedAccLimbs] = {};
+    if (base != nullptr) {
+      copy_limbs(acc, base->num, w);
+      numeric::limb_sign_extend(acc, w, w + 1);
+    }
+    limb_t scale[kFixedAccLimbs] = {};
+    copy_limbs(scale, grid_->scale.data(), kFixedRankLimbs);
+    if (add_multiple(acc, grid_->delta_scaled.data(), deltas, w) &&
+        add_multiple(acc, scale, units, w)) {
+      limb_t magnitude[kFixedAccLimbs];
+      if (numeric::limb_is_negative(acc, w + 1)) {
+        numeric::limb_neg(magnitude, acc, w + 1);
+      } else {
+        copy_limbs(magnitude, acc, w + 1);
+      }
+      if (magnitude[w] == 0 && (magnitude[w - 1] >> 63) == 0) {
+        ids_.push_back(id);
+        nums_.insert(nums_.end(), acc, acc + w);
+        return;
+      }
+    }
+  }
+  // Off the grid or out of range: the exact value, as a Rational sender
+  // would compute it.
+  Rational value = Rational(deltas) * delta_ + Rational(units);
+  if (base != nullptr) {
+    value += base->exact != nullptr
+                 ? *base->exact
+                 : numeric::fixed_to_rational(base->num, grid_->width, grid_->scale_big);
+  }
+  push(id, value);
+}
+
+sim::PayloadRef VoteBuilder::wrap() {
+  sim::PayloadRef out;
+  if (grid_ != nullptr && exacts_.empty()) {
+    sim::FixedRanksMsg msg;
+    msg.width = grid_->width;
+    msg.scale = grid_->scale;
+    msg.ids = std::move(ids_);
+    msg.nums = std::move(nums_);
+    out = sim::PayloadRef(std::move(msg));
+  } else {
+    // Entries without an exact value exist only on a grid.
+    sim::RanksMsg msg;
+    msg.entries.reserve(ids_.size());
+    std::size_t next_exact = 0;
+    for (std::size_t k = 0; k < ids_.size(); ++k) {
+      if (next_exact < exacts_.size() && exacts_[next_exact].first == k) {
+        msg.entries.push_back({ids_[k], std::move(exacts_[next_exact++].second)});
+      } else {
+        msg.entries.push_back({ids_[k], numeric::fixed_to_rational(
+                                            nums_.data() + k * grid_->width, grid_->width,
+                                            grid_->scale_big)});
+      }
+    }
+    out = sim::PayloadRef(std::move(msg));
+  }
+  ids_.clear();
+  nums_.clear();
+  exacts_.clear();
+  return out;
+}
+
+// ---------------------------------------------------------------------------
 // FixedVotingEngine
 // ---------------------------------------------------------------------------
 
@@ -243,26 +369,14 @@ void FixedVotingEngine::assign_initial_ranks(const std::set<Id>& accepted) {
 
 sim::PayloadRef FixedVotingEngine::encode_ranks() const {
   if (overrides_.empty()) {
-    sim::FixedRanksMsg msg;
-    msg.width = w_;
-    msg.scale = spec_.scale;
-    msg.ids = ids_;
-    msg.nums = nums_;
-    return sim::PayloadRef(std::move(msg));
+    // The steady state: every rank is on the grid, so the vote is a
+    // copy of the state columns.
+    return sim::PayloadRef(sim::FixedRanksMsg{w_, spec_.scale, ids_, nums_});
   }
-  // Some rank is off-grid: fall back to the classic wire form (the
-  // codec makes both encode to identical bytes anyway).
-  sim::RanksMsg msg;
-  msg.entries.reserve(ids_.size());
-  for (std::size_t k = 0; k < ids_.size(); ++k) {
-    if (is_exact_[k] != 0) {
-      msg.entries.push_back({ids_[k], overrides_.at(ids_[k])});
-    } else {
-      msg.entries.push_back(
-          {ids_[k], numeric::fixed_to_rational(nums_.data() + k * w_, w_, spec_.scale_big)});
-    }
-  }
-  return sim::PayloadRef(std::move(msg));
+  VoteBuilder vote(&spec_, delta_);
+  vote.reserve(ids_.size());
+  for_each_rank([&vote](const RankRef& rank) { vote.push(rank); });
+  return vote.wrap();
 }
 
 bool FixedVotingEngine::rank_bits_ok(const limb_t* num) const {

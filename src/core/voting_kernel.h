@@ -49,6 +49,57 @@ class FixedBallotKernel {
       wide_keys_;  ///< width > 2: big-endian biased limbs, lexicographic order
 };
 
+/// One current rank as a vote producer reads it without materializing
+/// the rank map: on the instance grid (`num`, spec.width limbs over S)
+/// or, once it left the grid, exact (`exact`, with num null).
+struct RankRef {
+  sim::Id id = 0;
+  const numeric::limb_t* num = nullptr;
+  const numeric::Rational* exact = nullptr;
+};
+
+/// Builds one Alg. 1 vote under the rule FixedVotingEngine::encode_ranks
+/// applies: a FixedRanksMsg when every value lies on the instance grid,
+/// else the classic RanksMsg (the codec encodes both to the same bytes).
+/// Byzantine producers build each face once per round and hand the one
+/// PayloadRef wrap() returns to all of that face's targets. Push entries
+/// in ascending id order. The affine pushes cover the equivocating
+/// strategies' faces (a rank, moved by whole deltas and whole units)
+/// and run in limbs while the result stays on the grid.
+class VoteBuilder {
+ public:
+  /// Without a usable grid (null, or !ok: the exact kernel, an
+  /// over-budget instance) every vote takes the classic form. `grid`
+  /// must outlive the builder.
+  VoteBuilder(const numeric::FixedSpec* grid, numeric::Rational delta);
+
+  void reserve(std::size_t entries);
+
+  /// Appends rank + deltas * delta + units under the rank's id. A rank
+  /// with limbs must come from a source on this builder's grid.
+  void push(const RankRef& rank, std::int64_t deltas = 0, std::int64_t units = 0);
+
+  /// Appends deltas * delta.
+  void push_deltas(sim::Id id, std::int64_t deltas);
+
+  /// Appends an exact value; it joins the fixed lane when on the grid.
+  void push(sim::Id id, const numeric::Rational& value);
+
+  /// Wraps the vote built so far in one shared payload and empties the
+  /// builder.
+  [[nodiscard]] sim::PayloadRef wrap();
+
+ private:
+  void push_affine(sim::Id id, const RankRef* base, std::int64_t deltas, std::int64_t units);
+  void push_exact(sim::Id id, numeric::Rational value);
+
+  const numeric::FixedSpec* grid_;  ///< null: every vote is classic
+  numeric::Rational delta_;
+  std::vector<sim::Id> ids_;
+  std::vector<numeric::limb_t> nums_;  ///< spec.width limbs per id; zeros where exact
+  std::vector<std::pair<std::uint32_t, numeric::Rational>> exacts_;
+};
+
 /// Fixed-point voting engine: the SoA rank state of one renaming
 /// process plus one Alg. 3 step over an inbox. Ranks live as `width`
 /// two's-complement limbs over the instance scale S; the rare values
@@ -72,8 +123,20 @@ class FixedVotingEngine {
 
   /// This round's broadcast: a FixedRanksMsg while every rank is
   /// on-grid (the steady state), else the classic RanksMsg equivalent.
-  /// Both encode to identical wire bytes.
+  /// Both encode to identical wire bytes (VoteBuilder's rule).
   [[nodiscard]] sim::PayloadRef encode_ranks() const;
+
+  /// Visits the current ranks in id order.
+  template <typename Visit>
+  void for_each_rank(Visit&& visit) const {
+    for (std::size_t k = 0; k < ids_.size(); ++k) {
+      if (is_exact_[k] != 0) {
+        visit(RankRef{ids_[k], nullptr, &overrides_.at(ids_[k])});
+      } else {
+        visit(RankRef{ids_[k], nums_.data() + k * static_cast<std::size_t>(w_), nullptr});
+      }
+    }
+  }
 
   /// One voting step: admits at most one structurally valid vote per
   /// link (mirroring decode_vote + is_valid_ranks), gathers per-id
@@ -88,6 +151,9 @@ class FixedVotingEngine {
 
   /// Rank of one id, if still held.
   [[nodiscard]] std::optional<numeric::Rational> rank_of(sim::Id id) const;
+
+  /// Number of ranks currently held.
+  [[nodiscard]] std::size_t rank_count() const noexcept { return ids_.size(); }
 
   /// Number of ranks currently carried as exact overrides (diagnostics).
   [[nodiscard]] int override_count() const noexcept { return static_cast<int>(overrides_.size()); }

@@ -1,5 +1,8 @@
 #include "numeric/fixed_rank.h"
 
+#include <bit>
+#include <utility>
+
 namespace byzrename::numeric {
 
 namespace {
@@ -26,6 +29,107 @@ void mul_mag(limb_t* r, const limb_t* a, int aw, const limb_t* b, int bw) noexce
 int significant_words(const limb_t* v, int w) noexcept {
   while (w > 0 && v[w - 1] == 0) --w;
   return w;
+}
+
+// --- reduced-fraction sizing (fixed_reduced_bits) ----------------------
+
+// One- and two-limb magnitudes (limb_t or uwide_t) share these.
+template <typename U>
+int bit_width_of(U v) noexcept {
+  if constexpr (sizeof(U) == sizeof(limb_t)) {
+    return std::bit_width(v);
+  } else {
+    const auto hi = static_cast<limb_t>(v >> 64);
+    return hi != 0 ? 64 + std::bit_width(hi) : std::bit_width(static_cast<limb_t>(v));
+  }
+}
+
+template <typename U>
+int trailing_zeros(U v) noexcept {
+  if constexpr (sizeof(U) == sizeof(limb_t)) {
+    return std::countr_zero(v);
+  } else {
+    const auto lo = static_cast<limb_t>(v);
+    return lo != 0 ? std::countr_zero(lo) : 64 + std::countr_zero(static_cast<limb_t>(v >> 64));
+  }
+}
+
+/// Bit length of a / g for a divisor g of a (both nonzero): the quotient
+/// has d or d + 1 bits, d the difference of bit lengths, and it is the
+/// latter iff a >= g << d.
+template <typename U>
+int exact_quotient_bits(U a, U g) noexcept {
+  const int d = bit_width_of(a) - bit_width_of(g);
+  return a >= (g << d) ? d + 1 : d;
+}
+
+/// Sizes a/S for nonzero a and S of one type. Splitting S = 2^e * odd,
+/// the shared power of two comes from trailing zeros, and the odd part
+/// of the gcd from one remainder and a binary gcd over magnitudes below
+/// odd(S), which is small whenever c is a power of two.
+template <typename U>
+ReducedBits reduce_small(U a, U scale, bool negative) noexcept {
+  const int e = trailing_zeros(scale);
+  U odd = scale >> e;
+  U rest = a % odd;
+  while (rest != 0) {
+    rest >>= trailing_zeros(rest);
+    if (odd > rest) std::swap(odd, rest);
+    rest -= odd;
+  }
+  const U g = odd << std::min(trailing_zeros(a), e);
+  return {static_cast<std::size_t>(exact_quotient_bits(a, g)),
+          static_cast<std::size_t>(exact_quotient_bits(scale, g)), negative};
+}
+
+/// Fixed-size unsigned magnitudes for the rare values beyond 128 bits.
+using Wide = std::array<limb_t, kFixedRankLimbs>;
+
+int bit_width_wide(const Wide& v) noexcept {
+  for (int i = kFixedRankLimbs - 1; i >= 0; --i) {
+    if (v[i] != 0) return 64 * i + std::bit_width(v[i]);
+  }
+  return 0;
+}
+
+int ctz_wide(const Wide& v) noexcept {
+  for (int i = 0; i < kFixedRankLimbs; ++i) {
+    if (v[i] != 0) return 64 * i + std::countr_zero(v[i]);
+  }
+  return 64 * kFixedRankLimbs;
+}
+
+Wide shift_wide(const Wide& v, int bits, bool left) noexcept {
+  Wide out{};
+  const int words = bits / 64;
+  const int rem = bits % 64;
+  for (int i = 0; i < kFixedRankLimbs; ++i) {
+    const int src = left ? i - words : i + words;
+    if (src < 0 || src >= kFixedRankLimbs) continue;
+    limb_t word = left ? v[src] << rem : v[src] >> rem;
+    const int carry = left ? src - 1 : src + 1;
+    if (rem != 0 && carry >= 0 && carry < kFixedRankLimbs) {
+      word |= left ? v[carry] >> (64 - rem) : v[carry] << (64 - rem);
+    }
+    out[i] = word;
+  }
+  return out;
+}
+
+int exact_quotient_bits_wide(const Wide& a, const Wide& g) noexcept {
+  const int d = bit_width_wide(a) - bit_width_wide(g);
+  return limb_cmp(a.data(), shift_wide(g, d, true).data(), kFixedRankLimbs) >= 0 ? d + 1 : d;
+}
+
+Wide gcd_wide(Wide a, Wide b) noexcept {
+  const int shift = std::min(ctz_wide(a), ctz_wide(b));
+  a = shift_wide(a, ctz_wide(a), false);
+  while (bit_width_wide(b) != 0) {
+    b = shift_wide(b, ctz_wide(b), false);
+    if (limb_cmp(a.data(), b.data(), kFixedRankLimbs) > 0) std::swap(a, b);
+    (void)limb_sub_n(b.data(), b.data(), a.data(), kFixedRankLimbs);
+  }
+  return shift_wide(a, shift, true);
 }
 
 }  // namespace
@@ -134,6 +238,34 @@ Rational fixed_to_rational(const limb_t* num, int width, const BigInt& scale) {
     for (int i = 0; i < width; ++i) magnitude[i] = num[i];
   }
   return Rational(BigInt::from_words64(magnitude, width, negative), scale);
+}
+
+ReducedBits fixed_reduced_bits(const limb_t* num, int width, const limb_t* scale) noexcept {
+  ReducedBits out;
+  Wide mag{};
+  out.negative = limb_is_negative(num, width);
+  if (out.negative) {
+    limb_neg(mag.data(), num, width);
+  } else {
+    for (int i = 0; i < width; ++i) mag[i] = num[i];
+  }
+  const int mag_words = significant_words(mag.data(), kFixedRankLimbs);
+  if (mag_words == 0) {
+    out.den_bits = 1;  // canonical zero is 0/1
+    return out;
+  }
+  Wide s{};
+  for (int i = 0; i < kFixedRankLimbs; ++i) s[i] = scale[i];
+  const int scale_words = significant_words(s.data(), kFixedRankLimbs);
+  if (mag_words <= 1 && scale_words <= 1) return reduce_small(mag[0], s[0], out.negative);
+  if (mag_words <= 2 && scale_words <= 2) {
+    return reduce_small((static_cast<uwide_t>(mag[1]) << 64) | mag[0],
+                        (static_cast<uwide_t>(s[1]) << 64) | s[0], out.negative);
+  }
+  const Wide g = gcd_wide(mag, s);
+  out.num_bits = static_cast<std::size_t>(exact_quotient_bits_wide(mag, g));
+  out.den_bits = static_cast<std::size_t>(exact_quotient_bits_wide(s, g));
+  return out;
 }
 
 }  // namespace byzrename::numeric

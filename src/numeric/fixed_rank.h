@@ -220,6 +220,20 @@ struct FixedSpec {
 /// Exact inverse: materializes num/S as a canonical (reduced) Rational.
 [[nodiscard]] Rational fixed_to_rational(const limb_t* num, int width, const BigInt& scale);
 
+/// Shape of the canonical Rational fixed_to_rational would build.
+struct ReducedBits {
+  std::size_t num_bits = 0;  ///< bit length of |reduced numerator|
+  std::size_t den_bits = 0;  ///< bit length of the reduced denominator
+  bool negative = false;
+};
+
+/// Sizes num/S in lowest terms without building it: a limb gcd against
+/// S (kFixedRankLimbs little-endian limbs, nonzero) and quotient bit
+/// lengths by shift-compare. Heap-free; the codec sizes fixed votes with
+/// it. Zero reduces to 0/1.
+[[nodiscard]] ReducedBits fixed_reduced_bits(const limb_t* num, int width,
+                                             const limb_t* scale) noexcept;
+
 }  // namespace byzrename::numeric
 
 #endif  // BYZRENAME_NUMERIC_FIXED_RANK_H

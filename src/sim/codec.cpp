@@ -74,12 +74,16 @@ std::size_t svarint_len(std::int64_t value) noexcept {
   return varint_len((raw << 1) ^ static_cast<std::uint64_t>(value >> 63));
 }
 
-std::size_t rational_len(const Rational& value) noexcept {
-  const std::size_t num_bytes = (value.numerator().bit_length() + 7) / 8;
-  const std::size_t den_bytes = (value.denominator().bit_length() + 7) / 8;
-  return varint_len((static_cast<std::uint64_t>(num_bytes) << 1) |
-                    (value.is_negative() ? 1u : 0u)) +
+std::size_t reduced_len(const numeric::ReducedBits& shape) noexcept {
+  const std::size_t num_bytes = (shape.num_bits + 7) / 8;
+  const std::size_t den_bytes = (shape.den_bits + 7) / 8;
+  return varint_len((static_cast<std::uint64_t>(num_bytes) << 1) | (shape.negative ? 1u : 0u)) +
          num_bytes + varint_len(den_bytes) + den_bytes;
+}
+
+std::size_t rational_len(const Rational& value) noexcept {
+  return reduced_len({value.numerator().bit_length(), value.denominator().bit_length(),
+                      value.is_negative()});
 }
 
 // --- reading ---------------------------------------------------------------
@@ -333,13 +337,11 @@ std::size_t encoded_bits(const Payload& payload) {
     return bytes * 8;
   }
   if (const auto* fixed = std::get_if<FixedRanksMsg>(&payload)) {
-    const BigInt scale =
-        BigInt::from_words64(fixed->scale.data(), numeric::kFixedRankLimbs, false);
     std::size_t bytes = 1 + varint_len(fixed->ids.size());
     for (std::size_t i = 0; i < fixed->ids.size(); ++i) {
       bytes += svarint_len(fixed->ids[i]) +
-               rational_len(numeric::fixed_to_rational(fixed->nums.data() + i * fixed->width,
-                                                       fixed->width, scale));
+               reduced_len(numeric::fixed_reduced_bits(fixed->nums.data() + i * fixed->width,
+                                                       fixed->width, fixed->scale.data()));
     }
     return bytes * 8;
   }
@@ -347,6 +349,15 @@ std::size_t encoded_bits(const Payload& payload) {
     return (1 + rational_len(aa->value)) * 8;
   }
   return encode(payload).size() * 8;
+}
+
+std::size_t PayloadRef::encoded_bits() const {
+  std::size_t bits = ptr_->bits.load(std::memory_order_relaxed);
+  if (bits == kUnsized) {
+    bits = sim::encoded_bits(ptr_->payload);
+    ptr_->bits.store(bits, std::memory_order_relaxed);
+  }
+  return bits;
 }
 
 }  // namespace byzrename::sim

@@ -132,8 +132,10 @@ void Network::run_round(Round round) {
                             byzantine_[sender], describe(*entry.payload)});
       }
       // Charge the exact size the binary codec produces, so the paper's
-      // bit-complexity bounds are checked against a real encoding.
-      const std::size_t payload_bits = encoded_bits(*entry.payload);
+      // bit-complexity bounds are checked against a real encoding. The
+      // size is memoized per payload object: a face shared by many
+      // targeted entries is sized once.
+      const std::size_t payload_bits = entry.payload.encoded_bits();
       if (entry.dest.has_value() && byzantine_[sender]) round_metrics.equivocating_sends += 1;
       auto deliver = [&](std::size_t receiver) {
         FaultInjector::Fate fate;

@@ -59,11 +59,11 @@ std::size_t wire_bits(const Payload& payload) noexcept {
                             static_assert(std::is_same_v<T, FixedRanksMsg>);
                             // Mirror of the RanksMsg branch over the
                             // reduced-rational equivalents.
-                            const numeric::BigInt scale = numeric::BigInt::from_words64(
-                                msg.scale.data(), numeric::kFixedRankLimbs, false);
                             std::size_t bits = kLengthBits;
                             for (std::size_t i = 0; i < msg.ids.size(); ++i) {
-                              bits += kIdBits + rational_bits(entry_rational(msg, i, scale));
+                              const numeric::ReducedBits shape = numeric::fixed_reduced_bits(
+                                  msg.nums.data() + i * msg.width, msg.width, msg.scale.data());
+                              bits += kIdBits + shape.num_bits + shape.den_bits + 2;
                             }
                             return bits;
                           }

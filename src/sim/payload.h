@@ -1,6 +1,7 @@
 #ifndef BYZRENAME_SIM_PAYLOAD_H
 #define BYZRENAME_SIM_PAYLOAD_H
 
+#include <atomic>
 #include <concepts>
 #include <cstdint>
 #include <memory>
@@ -130,6 +131,9 @@ using Payload = std::variant<IdMsg, EchoMsg, ReadyMsg, RanksMsg, MultiEchoMsg, A
 /// copies of (potentially O(N)-entry) message bodies. Receivers only
 /// ever see `const Payload&`, which is what makes the sharing sound:
 /// nothing downstream can mutate a delivered message.
+///
+/// The shared object also memoizes its codec size, so the network sizes
+/// each distinct payload once however many Outbox entries carry it.
 class PayloadRef {
  public:
   /// Empty handle; the network fills every Delivery it hands out, so a
@@ -137,28 +141,46 @@ class PayloadRef {
   PayloadRef() = default;
 
   /// Wraps a payload (or any message alternative) in a shared object.
-  /// Implicit so existing `{link, SomeMsg{...}}` construction keeps
-  /// working; wrapping is the point of the type.
+  /// Implicit for temporaries, so `{link, SomeMsg{...}}` keeps working;
+  /// explicit for lvalues, because wrapping one deep-copies it: a
+  /// sender that targets several receivers with the same message wraps
+  /// it once and shares the ref instead.
   template <typename T>
     requires std::constructible_from<Payload, T&&> &&
              (!std::same_as<std::remove_cvref_t<T>, PayloadRef>)
-  PayloadRef(T&& payload)  // NOLINT(google-explicit-constructor)
-      : ptr_(std::make_shared<const Payload>(std::forward<T>(payload))) {}
+  // NOLINTNEXTLINE(google-explicit-constructor): implicit for temporaries.
+  explicit(std::is_lvalue_reference_v<T>) PayloadRef(T&& payload)
+      : ptr_(std::make_shared<const Shared>(std::forward<T>(payload))) {}
 
-  [[nodiscard]] const Payload& operator*() const noexcept { return *ptr_; }
-  [[nodiscard]] const Payload* operator->() const noexcept { return ptr_.get(); }
+  [[nodiscard]] const Payload& operator*() const noexcept { return ptr_->payload; }
+  [[nodiscard]] const Payload* operator->() const noexcept { return &ptr_->payload; }
   [[nodiscard]] explicit operator bool() const noexcept { return ptr_ != nullptr; }
+
+  /// Exact codec size in bits (sim::encoded_bits), computed on first use
+  /// and cached in the shared object.
+  [[nodiscard]] std::size_t encoded_bits() const;
 
   /// Deep value equality (used by tests; Byzantine equivocation makes
   /// pointer identity meaningless on the wire).
   friend bool operator==(const PayloadRef& a, const PayloadRef& b) {
     if (a.ptr_ == b.ptr_) return true;
     if (a.ptr_ == nullptr || b.ptr_ == nullptr) return false;
-    return *a.ptr_ == *b.ptr_;
+    return a.ptr_->payload == b.ptr_->payload;
   }
 
  private:
-  std::shared_ptr<const Payload> ptr_;
+  static constexpr std::size_t kUnsized = ~std::size_t{0};
+
+  struct Shared {
+    template <typename T>
+    explicit Shared(T&& value) : payload(std::forward<T>(value)) {}
+    Payload payload;
+    /// Relaxed is enough: every thread that races here computes and
+    /// stores the same value.
+    mutable std::atomic<std::size_t> bits{kUnsized};
+  };
+
+  std::shared_ptr<const Shared> ptr_;
 };
 
 /// One delivered message: the receiver learns only the link label. The

@@ -3,10 +3,20 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <functional>
+#include <map>
+#include <memory>
+#include <set>
 #include <string>
 #include <tuple>
+#include <utility>
+#include <vector>
 
+#include "adversary/strategies/strategies.h"
 #include "core/harness.h"
+#include "core/params.h"
+#include "core/rank_approx.h"
+#include "sim/network.h"
 
 namespace byzrename::adversary {
 namespace {
@@ -91,6 +101,120 @@ TEST(IdFlood, PlansDistinctFakeIds) {
 // End-to-end: every adversary against every renaming algorithm it can
 // legally attack must leave the algorithm's guarantees intact. This is
 // the "no strategy beats the protocol" umbrella.
+/// Wraps a correct process and keeps every delivery it receives, per
+/// round. Holding the refs keeps each payload object alive, so pointer
+/// identity stays meaningful for the whole run.
+class DeliveryRecorder final : public sim::ProcessBehavior {
+ public:
+  explicit DeliveryRecorder(std::unique_ptr<sim::ProcessBehavior> inner)
+      : inner_(std::move(inner)) {}
+
+  void on_send(sim::Round round, sim::Outbox& out) override { inner_->on_send(round, out); }
+  void on_receive(sim::Round round, const sim::Inbox& inbox) override {
+    seen[round].insert(seen[round].end(), inbox.begin(), inbox.end());
+    inner_->on_receive(round, inbox);
+  }
+  [[nodiscard]] bool done() const override { return inner_->done(); }
+  [[nodiscard]] std::optional<sim::Name> decision() const override { return inner_->decision(); }
+
+  std::map<sim::Round, sim::Inbox> seen;
+
+ private:
+  std::unique_ptr<sim::ProcessBehavior> inner_;
+};
+
+/// A delivered vote as exact ranks, whichever wire form it took.
+core::RankMap vote_values(const sim::Payload& payload) {
+  const auto* fixed = std::get_if<sim::FixedRanksMsg>(&payload);
+  const sim::RanksMsg msg =
+      fixed != nullptr ? sim::to_ranks_msg(*fixed) : std::get<sim::RanksMsg>(payload);
+  core::RankMap out;
+  for (const sim::RankEntry& entry : msg.entries) out.emplace(entry.id, entry.rank);
+  return out;
+}
+
+/// The face one faulty sender gave each correct receiver in one round,
+/// in the order of env.correct.
+using Faces = std::vector<sim::PayloadRef>;
+
+/// Runs Alg. 1 at n = 16 against an equivocating two-face strategy.
+/// In every voting round, all deliveries from one faulty sender must
+/// alias exactly two payload objects: each face is built once and
+/// shared by its targets, never copied per target. `check` then pins
+/// what the faces say.
+void expect_two_shared_faces(const std::string& adversary,
+                             const std::function<void(const AdversaryEnv&, const Faces&)>& check) {
+  constexpr int kN = 16;
+  constexpr int kT = 5;
+  const AdversaryEnv env = make_env(kN, kT);
+  std::vector<std::unique_ptr<sim::ProcessBehavior>> behaviors;
+  std::vector<DeliveryRecorder*> recorders;
+  for (const auto& [index, id] : env.correct) {
+    auto recorder = std::make_unique<DeliveryRecorder>(
+        core::make_correct_behavior(env.algorithm, env.params, id, env.options));
+    recorders.push_back(recorder.get());
+    behaviors.push_back(std::move(recorder));
+  }
+  for (auto& behavior : find_adversary(adversary)(env)) behaviors.push_back(std::move(behavior));
+  std::vector<bool> byzantine(kN, false);
+  for (const sim::ProcessIndex index : env.byz_indices) {
+    byzantine[static_cast<std::size_t>(index)] = true;
+  }
+  sim::Network network(std::move(behaviors), std::move(byzantine), sim::Rng(7));
+  const sim::Round last = 4 + core::default_approximation_iterations(kT);
+  for (sim::Round round = 1; round <= last; ++round) network.run_round(round);
+
+  for (const sim::ProcessIndex sender : env.byz_indices) {
+    for (sim::Round round = 5; round <= last; ++round) {
+      SCOPED_TRACE(adversary + " sender " + std::to_string(sender) + " round " +
+                   std::to_string(round));
+      Faces faces;
+      std::set<const sim::Payload*> objects;
+      for (std::size_t c = 0; c < recorders.size(); ++c) {
+        const sim::LinkIndex link = network.link_of(env.correct[c].first, sender);
+        for (const sim::Delivery& d : recorders[c]->seen[round]) {
+          if (d.link != link) continue;
+          faces.push_back(d.payload);
+          objects.insert(&*d.payload);
+        }
+      }
+      ASSERT_EQ(faces.size(), env.correct.size());
+      EXPECT_EQ(objects.size(), 2u);
+      check(env, faces);
+    }
+  }
+}
+
+TEST(VoteSharing, SplitSendsTwoSharedFacesPerRound) {
+  // Half the receivers get every gap squeezed to delta, the rest 2 delta.
+  expect_two_shared_faces("split", [](const AdversaryEnv& env, const Faces& faces) {
+    const numeric::Rational delta = core::delta(env.params);
+    const std::size_t half = faces.size() / 2;
+    for (std::size_t c = 0; c < faces.size(); ++c) {
+      std::int64_t position = 0;
+      for (const auto& [id, rank] : vote_values(*faces[c])) {
+        ++position;
+        EXPECT_EQ(rank, numeric::Rational(c < half ? position : 2 * position) * delta);
+      }
+    }
+  });
+}
+
+TEST(VoteSharing, HybridSendsTwoSharedFacesPerRound) {
+  // The disfavored half gets the low view raised by F * delta, F being
+  // the number of asymmetric fakes; the favored half gets the low view.
+  expect_two_shared_faces("hybrid", [](const AdversaryEnv& env, const Faces& faces) {
+    const auto fakes =
+        static_cast<std::int64_t>(detail::make_asym_selection_plan(env)->fake_ids.size());
+    ASSERT_GT(fakes, 0);
+    const numeric::Rational offset = numeric::Rational(fakes) * core::delta(env.params);
+    const core::RankMap high = vote_values(*faces.front());
+    const core::RankMap low = vote_values(*faces.back());
+    ASSERT_EQ(high.size(), low.size());
+    for (const auto& [id, rank] : low) EXPECT_EQ(high.at(id), rank + offset) << id;
+  });
+}
+
 struct AttackCase {
   core::Algorithm algorithm;
   int n;

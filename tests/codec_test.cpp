@@ -3,8 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <random>
+#include <set>
+#include <type_traits>
 
 #include "numeric/bigint.h"
+#include "numeric/fixed_rank.h"
 #include "numeric/rational.h"
 
 namespace byzrename::sim {
@@ -185,6 +188,101 @@ TEST(Codec, EncodedBitsMatchesEncodeSize) {
   const Payload payload = RanksMsg{{{5, Rational::of(41, 40)}, {9, Rational::of(82, 40)}}};
   EXPECT_EQ(encoded_bits(payload), encode(payload).size() * 8);
 }
+
+/// Fills `num` (width limbs) with one sizing case: zero, the extremes
+/// of the two's-complement range, multiples of a large divisor of S
+/// (their reduced denominator is far below S), or random limbs.
+void fill_fixed_case(std::mt19937_64& rng, const numeric::FixedSpec& spec, numeric::limb_t* num) {
+  const int w = spec.width;
+  for (int i = 0; i < w; ++i) num[i] = 0;
+  switch (rng() % 6) {
+    case 0:
+      break;  // zero reduces to 0/1
+    case 1:  // most negative: -2^(64w - 1)
+      num[w - 1] = numeric::limb_t{1} << 63;
+      break;
+    case 2:  // top of the positive range, sometimes negated
+      for (int i = 0; i < w; ++i) num[i] = ~numeric::limb_t{0};
+      num[w - 1] >>= 1;
+      if (rng() % 2 == 0) numeric::limb_neg(num, num, w);
+      break;
+    case 3: {  // k * (S + c^I): a delta multiple, as honest ranks are
+      (void)numeric::limb_mul_1(num, spec.delta_scaled.data(), w, rng() % 5000);
+      if (rng() % 2 == 0) numeric::limb_neg(num, num, w);
+      break;
+    }
+    case 4: {  // shares a power of two (up to 2^39) with S
+      const int shift = static_cast<int>(rng() % 40);
+      num[0] = (rng() % 100000) << shift;
+      if (rng() % 2 == 0) numeric::limb_neg(num, num, w);
+      break;
+    }
+    default:  // random limbs, either sign, random length
+      for (int i = 0; i < w; ++i) num[i] = rng();
+      for (int i = static_cast<int>(rng() % static_cast<std::uint64_t>(w)) + 1; i < w; ++i) {
+        num[i] = (num[w - 1] >> 63) != 0 ? ~numeric::limb_t{0} : 0;
+      }
+      break;
+  }
+}
+
+TEST(Codec, EncodedBitsMatchesEncodeSizeForRandomFixedVotes) {
+  // Specs spanning one- and two-limb S at width 2, and widths 3 and 4.
+  const numeric::FixedSpec specs[] = {
+      numeric::derive_fixed_spec(128, 42, 21),   // S ~ 2^30, width 2
+      numeric::derive_fixed_spec(13, 4, 9),      // tiny S, width 2
+      numeric::derive_fixed_spec(1024, 16, 10),  // S ~ 2^72, width 2
+      numeric::derive_fixed_spec(1024, 16, 15),  // S ~ 2^101, width 3
+      numeric::derive_fixed_spec(1024, 16, 24),  // S ~ 2^155, width 4
+  };
+  std::set<int> widths;
+  std::mt19937_64 rng(20131013);
+  for (const numeric::FixedSpec& spec : specs) {
+    ASSERT_TRUE(spec.ok);
+    widths.insert(spec.width);
+    for (int vote = 0; vote < 60; ++vote) {
+      FixedRanksMsg msg;
+      msg.width = spec.width;
+      msg.scale = spec.scale;
+      sim::Id id = 0;
+      for (std::uint64_t k = rng() % 40; k > 0; --k) {
+        id += 1 + static_cast<sim::Id>(rng() % 1000);
+        msg.ids.push_back(id);
+        numeric::limb_t num[numeric::kFixedRankLimbs];
+        fill_fixed_case(rng, spec, num);
+        msg.nums.insert(msg.nums.end(), num, num + spec.width);
+        // Exact to the bit, not just to the byte the codec rounds to.
+        const Rational value = numeric::fixed_to_rational(num, spec.width, spec.scale_big);
+        const numeric::ReducedBits shape =
+            numeric::fixed_reduced_bits(num, spec.width, spec.scale.data());
+        ASSERT_EQ(shape.num_bits, value.numerator().bit_length()) << value;
+        ASSERT_EQ(shape.den_bits, value.denominator().bit_length()) << value;
+        ASSERT_EQ(shape.negative, value.is_negative()) << value;
+      }
+      const Payload payload = msg;
+      SCOPED_TRACE(describe(payload));
+      EXPECT_EQ(encoded_bits(payload), encode(payload).size() * 8);
+      EXPECT_EQ(wire_bits(payload), wire_bits(Payload(to_ranks_msg(msg))));
+    }
+  }
+  EXPECT_EQ(widths, (std::set<int>{2, 3, 4}));
+}
+
+TEST(Codec, PayloadRefMemoizesTheCodecSize) {
+  const PayloadRef ref(RanksMsg{{{5, Rational::of(41, 40)}, {9, Rational::of(82, 40)}}});
+  const PayloadRef shared = ref;
+  EXPECT_EQ(ref.encoded_bits(), encoded_bits(*ref));
+  EXPECT_EQ(shared.encoded_bits(), encoded_bits(*ref));
+  EXPECT_EQ(&*shared, &*ref);
+}
+
+// Wrapping an lvalue deep-copies it, so it must be spelled out;
+// temporaries wrap implicitly.
+static_assert(!std::is_convertible_v<const RanksMsg&, PayloadRef>);
+static_assert(!std::is_convertible_v<MultiEchoMsg&, PayloadRef>);
+static_assert(std::is_constructible_v<PayloadRef, const RanksMsg&>);
+static_assert(std::is_convertible_v<RanksMsg&&, PayloadRef>);
+static_assert(std::is_convertible_v<IdMsg, PayloadRef>);
 
 TEST(BigIntBytes, MagnitudeRoundTrip) {
   for (const char* text : {"0", "1", "255", "256", "4294967295", "4294967296",

@@ -185,7 +185,7 @@ TEST(FastRenaming, OversizedEchoIsRejected) {
   sim::MultiEchoMsg oversized;
   for (int i = 0; i < 5; ++i) oversized.ids.push_back(50 + i);  // 5 > N distinct ids
   sim::Inbox step2;
-  step2.push_back({0, oversized});
+  step2.push_back({0, std::move(oversized)});
   p.on_receive(2, step2);
   EXPECT_EQ(p.rejected_echoes(), 1);
 }

@@ -11,6 +11,7 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <functional>
 #include <set>
 #include <sstream>
 #include <string>
@@ -224,6 +225,75 @@ TEST(FixedVotingEngine, OverlongFixedVoteRejected) {
 }
 
 // ---------------------------------------------------------------------------
+// VoteBuilder: Byzantine faces take the fixed form exactly when on-grid
+
+TEST(VoteBuilder, FacesMatchTheirExactValuesOnAndOffTheGrid) {
+  const sim::SystemParams params{.n = 13, .t = 4};
+  const FixedSpec spec =
+      numeric::derive_fixed_spec(13, 4, core::default_approximation_iterations(4));
+  ASSERT_TRUE(spec.ok);
+  const Rational delta = core::delta(params);
+  std::array<limb_t, kFixedRankLimbs> top{};  // 2^(64w - 1) - 1
+  for (int i = 0; i < spec.width; ++i) top[static_cast<std::size_t>(i)] = ~limb_t{0};
+  top[static_cast<std::size_t>(spec.width - 1)] >>= 1;
+  const Rational top_value = numeric::fixed_to_rational(top.data(), spec.width, spec.scale_big);
+  const Rational off_grid = Rational::of(1, 7 * 11 * 13);
+
+  struct Case {
+    const char* name;
+    bool fixed;
+    std::function<void(core::VoteBuilder&, const core::RankRef&)> push;
+    core::RankMap expected;
+  };
+  const core::RankRef low{3, nullptr, nullptr};
+  std::array<limb_t, kFixedRankLimbs> five_deltas{};
+  (void)numeric::limb_mul_1(five_deltas.data(), spec.delta_scaled.data(), spec.width, 5);
+  const core::RankRef base{9, five_deltas.data(), nullptr};
+  const core::RankRef edge{9, top.data(), nullptr};
+  const std::vector<Case> cases = {
+      {"delta multiples", true,
+       [&](core::VoteBuilder& b, const core::RankRef&) {
+         b.push_deltas(low.id, 2);
+         b.push_deltas(base.id, -7);
+       },
+       {{3, Rational(2) * delta}, {9, Rational(-7) * delta}}},
+      {"shifted rank", true,
+       [&](core::VoteBuilder& b, const core::RankRef& rank) { b.push(rank, 3, -1'000'000); },
+       {{9, Rational(8) * delta - Rational(1'000'000)}}},
+      {"off-grid value", false,
+       [&](core::VoteBuilder& b, const core::RankRef& rank) {
+         b.push_deltas(low.id, 1);
+         b.push(rank.id, off_grid);
+       },
+       {{3, delta}, {9, off_grid}}},
+      {"past the top of the range", false,
+       [&](core::VoteBuilder& b, const core::RankRef&) { b.push(edge, 0, 1); },
+       {{9, top_value + Rational(1)}}},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    core::VoteBuilder builder(&spec, delta);
+    c.push(builder, base);
+    const sim::PayloadRef face = builder.wrap();
+    EXPECT_EQ(std::holds_alternative<sim::FixedRanksMsg>(*face), c.fixed);
+    const sim::Payload exact = core::encode_vote(c.expected);
+    EXPECT_EQ(sim::encode(*face), sim::encode(exact));
+    EXPECT_EQ(face.encoded_bits(), sim::encoded_bits(exact));
+
+    // Without a grid (exact kernel) the same pushes build the classic form.
+    if (c.fixed) {
+      core::VoteBuilder classic(nullptr, delta);
+      const Rational base_value = Rational(5) * delta;
+      const core::RankRef exact_base{9, nullptr, &base_value};
+      c.push(classic, exact_base);
+      const sim::PayloadRef classic_face = classic.wrap();
+      EXPECT_TRUE(std::holds_alternative<sim::RanksMsg>(*classic_face));
+      EXPECT_EQ(sim::encode(*classic_face), sim::encode(exact));
+    }
+  }
+}
+
+// ---------------------------------------------------------------------------
 // Oracle cross-check: fixed vs exact, byte-compared on every output
 
 struct DeepRun {
@@ -291,6 +361,14 @@ TEST(OracleCrossCheck, EveryAdversaryByteIdenticalAtSmallN) {
 
 TEST(OracleCrossCheck, SplitWorldByteIdenticalAtN64) {
   expect_kernels_identical(op_config(64, "split", 21));
+}
+
+TEST(OracleCrossCheck, HybridByteIdenticalAtN64) {
+  expect_kernels_identical(op_config(64, "hybrid", 21));
+}
+
+TEST(OracleCrossCheck, ChaosByteIdenticalAtN64) {
+  expect_kernels_identical(op_config(64, "chaos", 21));
 }
 
 TEST(OracleCrossCheck, FaultPlansByteIdentical) {
