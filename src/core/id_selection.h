@@ -3,10 +3,8 @@
 
 #include <cstdint>
 #include <set>
-#include <utility>
 #include <vector>
 
-#include "numeric/fixed_rank.h"
 #include "sim/payload.h"
 #include "sim/process.h"
 #include "sim/types.h"
@@ -25,11 +23,14 @@ namespace byzrename::core {
 ///
 /// The message pattern is Bracha-style Echo/Ready, cut to exactly four
 /// steps, with all counting done over *distinct link labels* because the
-/// receiver never knows sender identities. Tallying uses flat sorted
-/// (id, link) pair vectors rather than per-id link sets: the steps see
-/// O(N^2) deliveries, and one sort + adjacent-unique scan per step
-/// replaces millions of red-black-tree node insertions at large N with
-/// the exact same distinct-link counts.
+/// receiver never knows sender identities. Each step tallies its inbox in
+/// one pass, in link order: the network hands every inbox over sorted by
+/// link (sim::Inbox), so one link's deliveries are contiguous and a
+/// delivery is a new distinct link for its id exactly when that link
+/// differs from the last one counted for the id. Ids map to their
+/// counters through a small open-addressing table, so each delivery costs
+/// one probe. An inbox that is not in link order (hand-built ones in
+/// tests) is first stable-ordered by link, with the same counts.
 class IdSelection {
  public:
   IdSelection(sim::SystemParams params, sim::Id my_id);
@@ -51,22 +52,49 @@ class IdSelection {
   [[nodiscard]] sim::Id my_id() const noexcept { return my_id_; }
 
  private:
-  /// (id, link) packed into one 128-bit key — sign-biased id in the top
-  /// 96 bits, link in the low 32 — so the tally sorts compare flat
-  /// unsigned integers instead of struct pairs.
-  using IdLink = numeric::uwide_t;
+  /// One id's tally in the current pass: distinct links counted so far
+  /// and the last link that counted.
+  struct Slot {
+    sim::Id id;
+    int count;
+    sim::LinkIndex last_link;
+  };
+  /// A (link, slot) pair the step-3 Ready pass counted.
+  struct Counted {
+    sim::LinkIndex link;
+    std::uint32_t slot;
+  };
+
+  /// Empties the tally (slots, table, step-3 pairs) for a new pass.
+  void reset_tally();
+  /// Index of @p id's slot, inserting a zero-count slot if it is new.
+  std::uint32_t slot_of(sim::Id id);
+  /// Counts one delivery of a link-ordered pass; returns the slot index
+  /// if it was the first of its (id, link) pair, or kNoSlot otherwise.
+  std::uint32_t count(sim::LinkIndex link, sim::Id id);
+
+  static constexpr std::uint32_t kNoSlot = ~std::uint32_t{0};
 
   sim::SystemParams params_;
   sim::Id my_id_;
 
-  /// Working id set carried between steps (the paper's `Ids` variable).
-  std::set<sim::Id> ids_;
-  /// Distinct (id, link) Ready pairs, cumulative over steps 3-4 (kept
-  /// sorted + deduplicated between the two counting passes; released
-  /// after step 4).
-  std::vector<IdLink> ready_pairs_;
-  /// Ids this process has already broadcast Ready for (step 3).
-  std::set<sim::Id> ready_sent_;
+  /// Working id set carried between steps (the paper's `Ids` variable),
+  /// sorted ascending so broadcasts go out in id order.
+  std::vector<sim::Id> ids_;
+  /// Ids this process broadcast Ready for in step 3 (sorted); the step-3
+  /// amplification rule skips them.
+  std::vector<sim::Id> ready_sent_;
+
+  /// The current pass's tally: slots in first-seen order, and a
+  /// power-of-two open-addressing table of slot indices (kNoSlot =
+  /// empty) hashed by sim::splitmix64, since ids are adversary-chosen.
+  std::vector<Slot> slots_;
+  std::vector<std::uint32_t> table_;
+  /// Distinct (link, slot) pairs of the step-3 Ready pass, in link order.
+  /// Step 4 counts cumulatively on top of step 3 (paper, lines 24-25):
+  /// at each step-4 link run it marks the slots that link already
+  /// counted. Empty unless the tally holds step 3's Readys.
+  std::vector<Counted> step3_counted_;
 
   std::set<sim::Id> timely_;
   std::set<sim::Id> accepted_;

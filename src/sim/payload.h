@@ -190,7 +190,11 @@ struct Delivery {
   PayloadRef payload;
 };
 
-/// All messages delivered to one process in one round.
+/// All messages delivered to one process in one round. Network hands
+/// every inbox over in ascending link order (stable within a link), on
+/// every delivery path — bulk broadcast, fault injection, delayed
+/// batches, forgeries — so one link's deliveries are contiguous.
+/// core::IdSelection's one-pass distinct-link tallies rely on this.
 using Inbox = std::vector<Delivery>;
 
 }  // namespace byzrename::sim

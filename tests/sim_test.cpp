@@ -163,6 +163,77 @@ TEST(Network, MetricsSeparateByzantineTraffic) {
   EXPECT_EQ(net.metrics().per_round()[0].equivocating_sends, 1u);
 }
 
+/// Shared tally of what LinkOrderProbe processes observed; restarted
+/// probes report into the same tally.
+struct LinkOrderTally {
+  std::size_t inboxes = 0;
+  std::size_t deliveries = 0;
+  std::size_t out_of_order = 0;
+};
+
+/// Broadcasts three messages a round; a Byzantine probe also targets two
+/// receivers. Checks every inbox it is handed for ascending link order.
+class LinkOrderProbe final : public ProcessBehavior {
+ public:
+  LinkOrderProbe(Id id, LinkOrderTally* tally) : id_(id), tally_(tally) {}
+
+  void on_send(Round round, Outbox& out) override {
+    for (int k = 0; k < 3; ++k) out.broadcast(EchoMsg{id_ * 10 + k});
+    if (out.targeted_allowed()) {
+      out.send_to(static_cast<ProcessIndex>(round % 5), ReadyMsg{id_});
+      out.send_to(0, ReadyMsg{-id_});
+    }
+  }
+  void on_receive(Round, const Inbox& inbox) override {
+    tally_->inboxes += 1;
+    tally_->deliveries += inbox.size();
+    const bool ordered =
+        std::is_sorted(inbox.begin(), inbox.end(),
+                       [](const Delivery& a, const Delivery& b) { return a.link < b.link; });
+    if (!ordered) tally_->out_of_order += 1;
+  }
+  [[nodiscard]] bool done() const override { return false; }
+
+ private:
+  Id id_;
+  LinkOrderTally* tally_;
+};
+
+TEST(Network, InboxesArriveInAscendingLinkOrder) {
+  // The sim::Inbox contract that IdSelection's one-pass tallies rely on,
+  // on the bulk-broadcast path (no plan) and on the per-delivery injector
+  // path under every plan family that adds, defers or re-homes traffic.
+  constexpr int kN = 7;
+  const std::vector<bool> byzantine = {false, true, false, false, true, false, false};
+  for (const char* spec : {"", "dup:0.5", "delay:0.5x2", "forge:3", "restart:2@3,scramble",
+                           "dup:0.3+delay:0.4x1+forge:2x0.5+restart:3@2"}) {
+    LinkOrderTally tally;
+    const auto make = [&tally](ProcessIndex i) -> std::unique_ptr<ProcessBehavior> {
+      return std::make_unique<LinkOrderProbe>(i + 1, &tally);
+    };
+    std::vector<std::unique_ptr<ProcessBehavior>> behaviors;
+    for (ProcessIndex i = 0; i < kN; ++i) behaviors.push_back(make(i));
+    Network net(std::move(behaviors), byzantine, Rng(11));
+    const FaultInjector injector(parse_fault_plan(spec), 5);
+    if (spec[0] != '\0') {
+      net.attach_fault_injector(&injector);
+      net.attach_behavior_factory(make);
+    }
+    for (Round r = 1; r <= 6; ++r) net.run_round(r);
+    EXPECT_EQ(tally.inboxes, 6u * kN) << spec;
+    // Broadcasts alone give 3 deliveries per link, so each inbox has
+    // multi-delivery link runs to keep in order.
+    EXPECT_GT(tally.deliveries, 6u * kN * kN * 2) << spec;
+    EXPECT_EQ(tally.out_of_order, 0u) << spec;
+    if (spec[0] != '\0') {
+      const std::size_t injected =
+          net.metrics().total_injected_duplicates() + net.metrics().total_injected_delays() +
+          net.metrics().total_injected_forgeries() + net.metrics().total_injected_restarts();
+      EXPECT_GT(injected, 0u) << spec;
+    }
+  }
+}
+
 TEST(Metrics, RunningTotalsMatchPerRoundSums) {
   Metrics m;
   m.add_round({.messages = 10, .bits = 800, .correct_messages = 7, .correct_bits = 560,
