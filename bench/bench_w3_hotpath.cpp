@@ -66,10 +66,9 @@ class FanoutBehavior final : public sim::ProcessBehavior {
  public:
   explicit FanoutBehavior(int n) {
     const Rational d = core::delta({.n = n, .t = n / 4});
-    msg_.entries.reserve(static_cast<std::size_t>(n));
-    for (int i = 0; i < n; ++i) {
-      msg_.entries.push_back({i + 1, Rational(i + 1) * d});
-    }
+    msg_.ids.reserve(static_cast<std::size_t>(n));
+    msg_.exacts.reserve(static_cast<std::size_t>(n));
+    for (int i = 0; i < n; ++i) msg_.push_exact(i + 1, Rational(i + 1) * d);
   }
 
   void on_send(sim::Round, sim::Outbox& out) override { out.broadcast(sim::PayloadRef(msg_)); }

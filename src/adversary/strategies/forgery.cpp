@@ -94,12 +94,13 @@ sim::PayloadRef RegistryForgerySource::forge(sim::Round round, sim::ProcessIndex
     // byte-identical votes.
     if (round <= selection) return {};
     sim::RanksMsg msg;
-    msg.entries.reserve(sorted_ids_.size());
+    msg.ids.reserve(sorted_ids_.size());
+    msg.exacts.reserve(sorted_ids_.size());
     const auto m = static_cast<std::int64_t>(sorted_ids_.size());
     const std::int64_t stretch = 1 + static_cast<std::int64_t>(entropy & 1);
     for (std::size_t i = 0; i < sorted_ids_.size(); ++i) {
       const std::int64_t reversed = m - static_cast<std::int64_t>(i);
-      msg.entries.push_back({sorted_ids_[i], numeric::Rational(reversed * stretch)});
+      msg.push_exact(sorted_ids_[i], numeric::Rational(reversed * stretch));
     }
     return msg;
   }

@@ -45,44 +45,42 @@ class InvalidVotesBehavior final : public sim::ProcessBehavior {
   [[nodiscard]] bool done() const override { return true; }
 
  private:
-  [[nodiscard]] sim::Payload malformed_vote(int kind) const {
+  [[nodiscard]] sim::PayloadRef malformed_vote(int kind) const {
     const core::RankMap& honest = inner_->ranks();
+    core::VoteBuilder vote = inner_->vote_builder();
     switch (kind % 6) {
-      case 0: {  // missing a timely id: drop the smallest entry
-        sim::RanksMsg msg = core::encode_vote(honest);
-        if (!msg.entries.empty()) msg.entries.erase(msg.entries.begin());
-        return msg;
-      }
-      case 1: {  // sub-delta spacing: compress everything onto one point
-        sim::RanksMsg msg = core::encode_vote(honest);
-        for (sim::RankEntry& entry : msg.entries) entry.rank = Rational(1);
-        return msg;
-      }
-      case 2: {  // duplicate / unsorted entries
-        sim::RanksMsg msg = core::encode_vote(honest);
-        if (!msg.entries.empty()) msg.entries.push_back(msg.entries.front());
-        return msg;
-      }
+      case 0:  // missing a timely id: drop the smallest entry
+        for (auto it = honest.begin(); it != honest.end(); ++it) {
+          if (it != honest.begin()) vote.push(it->first, it->second);
+        }
+        break;
+      case 1:  // sub-delta spacing: compress everything onto one point
+        for (const auto& [id, rank] : honest) vote.push(id, Rational(1));
+        break;
+      case 2:  // duplicate / unsorted entries
+        for (const auto& [id, rank] : honest) vote.push(id, rank);
+        if (!honest.empty()) vote.push(honest.begin()->first, honest.begin()->second);
+        break;
       case 3: {  // denominator inflation beyond the wire budget
-        sim::RanksMsg msg = core::encode_vote(honest);
-        Rational huge(BigInt(1), BigInt(1) << 8192);
-        for (sim::RankEntry& entry : msg.entries) entry.rank = entry.rank + huge;
-        return msg;
+        const Rational huge(BigInt(1), BigInt(1) << 8192);
+        for (const auto& [id, rank] : honest) vote.push(id, rank + huge);
+        break;
       }
       case 4: {  // entry-count spam
-        sim::RanksMsg msg = core::encode_vote(honest);
-        sim::Id next = msg.entries.empty() ? 1 : msg.entries.back().id;
-        Rational rank = msg.entries.empty() ? Rational(1) : msg.entries.back().rank;
+        for (const auto& [id, rank] : honest) vote.push(id, rank);
+        sim::Id next = honest.empty() ? 1 : honest.rbegin()->first;
+        Rational rank = honest.empty() ? Rational(1) : honest.rbegin()->second;
         for (int i = 0; i < 3 * env_.params.n; ++i) {
           next += 1;
           rank += delta_;
-          msg.entries.push_back({next, rank});
+          vote.push(next, rank);
         }
-        return msg;
+        break;
       }
       default:  // wrong message type for the voting phase
         return sim::EchoMsg{42};
     }
+    return vote.wrap();
   }
 
   AdversaryEnv env_;

@@ -51,8 +51,8 @@ class RandomLiesBehavior final : public sim::ProcessBehavior {
         sim::RanksMsg msg;
         const int entries = static_cast<int>(rng_.uniform(0, n_));
         for (int e = 0; e < entries; ++e) {
-          msg.entries.push_back(
-              {random_id(), Rational::of(rng_.uniform(-1000, 1000), rng_.uniform(1, 7))});
+          const sim::Id id = random_id();  // first, to keep the seeded draw order
+          msg.push_exact(id, Rational::of(rng_.uniform(-1000, 1000), rng_.uniform(1, 7)));
         }
         return msg;
       }

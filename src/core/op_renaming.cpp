@@ -80,17 +80,11 @@ void OpRenamingProcess::exact_step(const Inbox& inbox, RankMap& ranks, std::set<
   // Byzantine process outvote the trim).
   std::map<sim::LinkIndex, RankMap> per_link;
   for (const sim::Delivery& d : inbox) {
-    const auto* fixed = std::get_if<sim::FixedRanksMsg>(&*d.payload);
     const auto* msg = std::get_if<sim::RanksMsg>(&*d.payload);
-    if (fixed == nullptr && msg == nullptr) continue;
+    if (msg == nullptr) continue;
     if (per_link.contains(d.link)) {
       ++rejected;
       continue;
-    }
-    sim::RanksMsg converted;
-    if (fixed != nullptr) {
-      converted = sim::to_ranks_msg(*fixed);
-      msg = &converted;
     }
     RankMap vote;
     if (!decode_vote(*msg, params_, options_, vote) ||

@@ -67,8 +67,8 @@ class OpRenamingProcess final : public sim::ProcessBehavior {
       for (const auto& [id, rank] : ranks_) visit(RankRef{id, nullptr, &rank});
     }
   }
-  /// A vote builder over this instance's grid (classic form throughout
-  /// on the exact kernel), sized for one entry per current rank: how
+  /// A vote builder over this instance's grid (none on the exact kernel,
+  /// so every entry is exact), sized for one entry per current rank: how
   /// Byzantine strategies wrapping this process build their faces.
   [[nodiscard]] VoteBuilder vote_builder() const;
   [[nodiscard]] sim::Id my_id() const noexcept { return selection_.my_id(); }
@@ -83,7 +83,7 @@ class OpRenamingProcess final : public sim::ProcessBehavior {
   void decide();
   /// One exact-oracle voting step over `inbox` (the pre-fixed-point
   /// pipeline, verbatim): used by the kExact kernel and as the kCheck
-  /// shadow. Fixed-point votes are consumed via their exact equivalent.
+  /// shadow.
   void exact_step(const sim::Inbox& inbox, RankMap& ranks, std::set<sim::Id>& accepted,
                   int& rejected);
 

@@ -60,7 +60,10 @@ enum class RankKernel {
   /// Exact arbitrary-precision Rational arithmetic: the oracle.
   kExact,
   /// Runs kFixed while maintaining a shadow kExact state and throws
-  /// std::logic_error on any divergence. Test/diagnostic mode.
+  /// std::logic_error on any divergence. Test/diagnostic mode, kept as
+  /// a user-facing one (--rank-kernel check, kernel=check): it is the
+  /// only per-step lockstep check of the fixed kernel against the
+  /// oracle on a real run.
   kCheck,
 };
 

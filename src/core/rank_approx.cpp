@@ -11,18 +11,16 @@ bool decode_vote(const sim::RanksMsg& msg, const sim::SystemParams& params,
                  const RenamingOptions& options, RankMap& out) {
   const int max_entries =
       options.max_vote_entries >= 0 ? options.max_vote_entries : params.n + params.t;
-  if (static_cast<int>(msg.entries.size()) > max_entries) return false;
+  if (static_cast<int>(msg.ids.size()) > max_entries) return false;
   out.clear();
-  Id previous = 0;
-  bool first = true;
-  for (const sim::RankEntry& entry : msg.entries) {
-    if (!first && entry.id <= previous) return false;  // unsorted or duplicate id
-    if (entry.rank.encoded_bits() > options.max_rank_bits) return false;
-    out.emplace(entry.id, entry.rank);
-    previous = entry.id;
-    first = false;
-  }
-  return true;
+  bool ok = true;
+  msg.for_each_value([&](Id id, const Rational& rank) {
+    if (!ok) return;
+    // Unsorted or duplicate id, or an oversized encoding.
+    ok = (out.empty() || id > out.rbegin()->first) && rank.encoded_bits() <= options.max_rank_bits;
+    if (ok) out.emplace_hint(out.end(), id, rank);
+  });
+  return ok;
 }
 
 bool is_valid_ranks(const std::set<Id>& timely, const RankMap& vote, const Rational& delta) {
@@ -94,8 +92,9 @@ ApproximateResult approximate(const sim::SystemParams& params, std::set<Id>& acc
 
 sim::RanksMsg encode_vote(const RankMap& ranks) {
   sim::RanksMsg msg;
-  msg.entries.reserve(ranks.size());
-  for (const auto& [id, rank] : ranks) msg.entries.push_back({id, rank});
+  msg.ids.reserve(ranks.size());
+  msg.exacts.reserve(ranks.size());
+  for (const auto& [id, rank] : ranks) msg.push_exact(id, rank);
   return msg;
 }
 

@@ -60,7 +60,8 @@ struct ApproximateResult {
                                             std::set<sim::Id>& accepted, const RankMap& my_ranks,
                                             const std::vector<RankMap>& votes);
 
-/// Encodes a RankMap as the wire payload (entries sorted by id).
+/// Encodes a RankMap as the wire payload: entries sorted by id, every
+/// one exact (width 0).
 [[nodiscard]] sim::RanksMsg encode_vote(const RankMap& ranks);
 
 }  // namespace byzrename::core

@@ -20,11 +20,6 @@ namespace {
 
 constexpr limb_t kSignBias = limb_t{1} << 63;
 
-/// Pooled classic-vote scratch above this many value limbs is released
-/// after the step: keeps N <= 512 instances allocation-free round over
-/// round without pinning tens of megabytes per process at N = 1024.
-constexpr std::size_t kArenaKeepLimbs = std::size_t{1} << 19;
-
 void copy_limbs(limb_t* dst, const limb_t* src, int w) noexcept {
   for (int i = 0; i < w; ++i) dst[i] = src[i];
 }
@@ -202,11 +197,16 @@ FixedBallotKernel::Outcome FixedBallotKernel::average(const FixedSpec& spec, lim
 // ---------------------------------------------------------------------------
 
 VoteBuilder::VoteBuilder(const FixedSpec* grid, Rational delta)
-    : grid_(grid != nullptr && grid->ok ? grid : nullptr), delta_(std::move(delta)) {}
+    : grid_(grid != nullptr && grid->ok ? grid : nullptr), delta_(std::move(delta)) {
+  if (grid_ != nullptr) {
+    msg_.width = grid_->width;
+    msg_.scale = grid_->scale;
+  }
+}
 
 void VoteBuilder::reserve(std::size_t entries) {
-  ids_.reserve(entries);
-  if (grid_ != nullptr) nums_.reserve(entries * static_cast<std::size_t>(grid_->width));
+  msg_.ids.reserve(entries);
+  msg_.nums.reserve(entries * static_cast<std::size_t>(msg_.width));
 }
 
 void VoteBuilder::push(const RankRef& rank, std::int64_t deltas, std::int64_t units) {
@@ -220,17 +220,11 @@ void VoteBuilder::push_deltas(Id id, std::int64_t deltas) {
 void VoteBuilder::push(Id id, const Rational& value) {
   limb_t num[kFixedRankLimbs];
   if (grid_ != nullptr && numeric::rational_to_fixed(value, *grid_, num) == FixedConvert::kOk) {
-    ids_.push_back(id);
-    nums_.insert(nums_.end(), num, num + grid_->width);
+    msg_.ids.push_back(id);
+    msg_.nums.insert(msg_.nums.end(), num, num + grid_->width);
   } else {
-    push_exact(id, value);
+    msg_.push_exact(id, value);
   }
-}
-
-void VoteBuilder::push_exact(Id id, Rational value) {
-  exacts_.emplace_back(static_cast<std::uint32_t>(ids_.size()), std::move(value));
-  ids_.push_back(id);
-  if (grid_ != nullptr) nums_.insert(nums_.end(), static_cast<std::size_t>(grid_->width), 0);
 }
 
 namespace {
@@ -275,8 +269,8 @@ void VoteBuilder::push_affine(Id id, const RankRef* base, std::int64_t deltas,
         copy_limbs(magnitude, acc, w + 1);
       }
       if (magnitude[w] == 0 && (magnitude[w - 1] >> 63) == 0) {
-        ids_.push_back(id);
-        nums_.insert(nums_.end(), acc, acc + w);
+        msg_.ids.push_back(id);
+        msg_.nums.insert(msg_.nums.end(), acc, acc + w);
         return;
       }
     }
@@ -293,34 +287,10 @@ void VoteBuilder::push_affine(Id id, const RankRef* base, std::int64_t deltas,
 }
 
 sim::PayloadRef VoteBuilder::wrap() {
-  sim::PayloadRef out;
-  if (grid_ != nullptr && exacts_.empty()) {
-    sim::FixedRanksMsg msg;
-    msg.width = grid_->width;
-    msg.scale = grid_->scale;
-    msg.ids = std::move(ids_);
-    msg.nums = std::move(nums_);
-    out = sim::PayloadRef(std::move(msg));
-  } else {
-    // Entries without an exact value exist only on a grid.
-    sim::RanksMsg msg;
-    msg.entries.reserve(ids_.size());
-    std::size_t next_exact = 0;
-    for (std::size_t k = 0; k < ids_.size(); ++k) {
-      if (next_exact < exacts_.size() && exacts_[next_exact].first == k) {
-        msg.entries.push_back({ids_[k], std::move(exacts_[next_exact++].second)});
-      } else {
-        msg.entries.push_back({ids_[k], numeric::fixed_to_rational(
-                                            nums_.data() + k * grid_->width, grid_->width,
-                                            grid_->scale_big)});
-      }
-    }
-    out = sim::PayloadRef(std::move(msg));
-  }
-  ids_.clear();
-  nums_.clear();
-  exacts_.clear();
-  return out;
+  sim::RanksMsg next;
+  next.width = msg_.width;
+  next.scale = msg_.scale;
+  return sim::PayloadRef(std::exchange(msg_, std::move(next)));
 }
 
 // ---------------------------------------------------------------------------
@@ -337,15 +307,10 @@ FixedVotingEngine::FixedVotingEngine(sim::SystemParams params, RenamingOptions o
   link_seen_.assign(static_cast<std::size_t>(params.n), 0);
   // Representable magnitudes stay below 2^(64w - 1), so when even the
   // widest on-grid value fits the rank-bits budget (it always does at
-  // the default 4096), the per-entry check in admit_fixed is vacuous.
+  // the default 4096), the per-entry check on limb entries is vacuous.
   bits_always_ok_ =
       spec_.ok && 64 * static_cast<std::size_t>(w_) - 1 + spec_.scale_bits + 2 <=
                       options_.max_rank_bits;
-}
-
-bool FixedVotingEngine::matches_spec(const sim::FixedRanksMsg& msg) const noexcept {
-  return msg.width == w_ && msg.scale == spec_.scale &&
-         msg.nums.size() == msg.ids.size() * static_cast<std::size_t>(w_);
 }
 
 void FixedVotingEngine::assign_initial_ranks(const std::set<Id>& accepted) {
@@ -368,15 +333,15 @@ void FixedVotingEngine::assign_initial_ranks(const std::set<Id>& accepted) {
 }
 
 sim::PayloadRef FixedVotingEngine::encode_ranks() const {
-  if (overrides_.empty()) {
-    // The steady state: every rank is on the grid, so the vote is a
-    // copy of the state columns.
-    return sim::PayloadRef(sim::FixedRanksMsg{w_, spec_.scale, ids_, nums_});
+  // The vote is a copy of the state columns. An override never fits the
+  // grid (push_override's callers see to that), so it is a side entry.
+  sim::RanksMsg msg{w_, spec_.scale, ids_, nums_, {}};
+  if (!overrides_.empty()) {
+    for (std::uint32_t k = 0; k < ids_.size(); ++k) {
+      if (is_exact_[k] != 0) msg.exacts.emplace_back(k, overrides_.at(ids_[k]));
+    }
   }
-  VoteBuilder vote(&spec_, delta_);
-  vote.reserve(ids_.size());
-  for_each_rank([&vote](const RankRef& rank) { vote.push(rank); });
-  return vote.wrap();
+  return sim::PayloadRef(std::move(msg));
 }
 
 bool FixedVotingEngine::rank_bits_ok(const limb_t* num) const {
@@ -417,145 +382,94 @@ bool gap_ok(const limb_t* prev, const limb_t* cur, const FixedSpec& spec) noexce
 
 }  // namespace
 
-bool FixedVotingEngine::admit_fixed(const sim::FixedRanksMsg& msg) {
+bool FixedVotingEngine::admit(const sim::RanksMsg& msg) {
+  const std::size_t count = msg.ids.size();
+  if (msg.nums.size() != count * static_cast<std::size_t>(msg.width)) return false;
+  if (msg.width != 0 && (msg.width != w_ || msg.scale != spec_.scale)) {
+    // Another instance's grid (no sender here produces one; handled for
+    // totality): admit an all-exact copy, kept until the next step.
+    sim::RanksMsg& copy = foreign_.emplace_back();
+    msg.for_each_value([&copy](Id id, const Rational& value) { copy.push_exact(id, value); });
+    return admit(copy);
+  }
   const int max_entries =
       options_.max_vote_entries >= 0 ? options_.max_vote_entries : params_.n + params_.t;
-  if (static_cast<int>(msg.ids.size()) > max_entries) return false;
-  Id previous = 0;
-  bool first = true;
-  for (std::size_t i = 0; i < msg.ids.size(); ++i) {
-    if (!first && msg.ids[i] <= previous) return false;  // unsorted or duplicate id
-    if (!bits_always_ok_ && !rank_bits_ok(msg.nums.data() + i * w_)) return false;
-    previous = msg.ids[i];
-    first = false;
-  }
+  if (static_cast<int>(count) > max_entries) return false;
 
-  if (options_.validate_votes) {
-    // is_valid_ranks over the fixed lane: every timely id ranked, with
-    // consecutive ranks separated by at least delta.
-    const limb_t* prev_num = nullptr;
-    std::uint32_t pos = 0;
-    for (const Id id : timely_flat_) {
-      while (pos < msg.ids.size() && msg.ids[pos] < id) ++pos;
-      if (pos >= msg.ids.size() || msg.ids[pos] != id) return false;
-      const limb_t* cur_num = msg.nums.data() + static_cast<std::size_t>(pos) * w_;
-      if (prev_num != nullptr && !gap_ok(prev_num, cur_num, spec_)) return false;
-      prev_num = cur_num;
+  if (msg.exacts.empty() && msg.width == w_) {
+    // Every entry on the grid: the steady state.
+    for (std::size_t i = 0; i < count; ++i) {
+      if (i > 0 && msg.ids[i] <= msg.ids[i - 1]) return false;  // unsorted or duplicate id
+      if (!bits_always_ok_ && !rank_bits_ok(msg.nums.data() + i * w_)) return false;
     }
-  }
 
-  votes_.push_back(Vote{msg.ids.data(), msg.nums.data(),
-                        static_cast<std::uint32_t>(msg.ids.size()), -1, 0, 0});
-  return true;
-}
-
-bool FixedVotingEngine::admit_classic(const sim::RanksMsg& msg) {
-  const int max_entries =
-      options_.max_vote_entries >= 0 ? options_.max_vote_entries : params_.n + params_.t;
-  if (static_cast<int>(msg.entries.size()) > max_entries) return false;
-  Id previous = 0;
-  bool first = true;
-  for (const sim::RankEntry& entry : msg.entries) {
-    if (!first && entry.id <= previous) return false;
-    if (entry.rank.encoded_bits() > options_.max_rank_bits) return false;
-    previous = entry.id;
-    first = false;
-  }
-
-  // Convert into the pooled arena (reserved up front, so these appends
-  // never reallocate mid-step); off-grid entries go to the exact list.
-  const std::size_t id_mark = arena_ids_.size();
-  const std::size_t num_mark = arena_nums_.size();
-  std::int32_t exacts_index = -1;
-  for (std::uint32_t i = 0; i < msg.entries.size(); ++i) {
-    const sim::RankEntry& entry = msg.entries[i];
-    arena_ids_.push_back(entry.id);
-    limb_t value[kFixedRankLimbs] = {0, 0, 0, 0};
-    if (numeric::rational_to_fixed(entry.rank, spec_, value) != FixedConvert::kOk) {
-      if (exacts_index < 0) {
-        if (vote_exacts_used_ == vote_exacts_.size()) vote_exacts_.emplace_back();
-        exacts_index = static_cast<std::int32_t>(vote_exacts_used_++);
-        vote_exacts_[static_cast<std::size_t>(exacts_index)].clear();
+    if (options_.validate_votes) {
+      // is_valid_ranks over the fixed lane: every timely id ranked, with
+      // consecutive ranks separated by at least delta.
+      const limb_t* prev_num = nullptr;
+      std::uint32_t pos = 0;
+      for (const Id id : timely_flat_) {
+        while (pos < count && msg.ids[pos] < id) ++pos;
+        if (pos >= count || msg.ids[pos] != id) return false;
+        const limb_t* cur_num = msg.nums.data() + static_cast<std::size_t>(pos) * w_;
+        if (prev_num != nullptr && !gap_ok(prev_num, cur_num, spec_)) return false;
+        prev_num = cur_num;
       }
-      vote_exacts_[static_cast<std::size_t>(exacts_index)].emplace_back(i, entry.rank);
-      // Zero placeholder keeps the limb lane index-aligned; shadowed by
-      // the exact list everywhere it matters.
     }
-    arena_nums_.insert(arena_nums_.end(), value, value + w_);
+
+    votes_.push_back(
+        Vote{msg.ids.data(), msg.nums.data(), static_cast<std::uint32_t>(count), nullptr, 0, 0});
+    return true;
   }
 
-  Vote vote{arena_ids_.data() + id_mark, arena_nums_.data() + num_mark,
-            static_cast<std::uint32_t>(msg.entries.size()), exacts_index, 0, 0};
-
-  if (options_.validate_votes) {
-    const ExactEntries* exacts =
-        exacts_index >= 0 ? &vote_exacts_[static_cast<std::size_t>(exacts_index)] : nullptr;
-    const limb_t* prev_num = nullptr;
-    const Rational* prev_exact = nullptr;
-    bool valid = true;
-    std::uint32_t pos = 0;
-    std::uint32_t ec = 0;
-    bool have_prev = false;
-    for (const Id id : timely_flat_) {
-      while (pos < vote.count && vote.ids[pos] < id) ++pos;
-      if (pos >= vote.count || vote.ids[pos] != id) {
-        valid = false;
-        break;
-      }
-      if (exacts != nullptr) {
-        while (ec < exacts->size() && (*exacts)[ec].first < pos) ++ec;
-      }
-      const Rational* cur_exact =
-          (exacts != nullptr && ec < exacts->size() && (*exacts)[ec].first == pos)
-              ? &(*exacts)[ec].second
-              : nullptr;
-      const limb_t* cur_num = vote.nums + static_cast<std::size_t>(pos) * w_;
-      if (have_prev) {
-        if (prev_exact == nullptr && cur_exact == nullptr) {
-          if (!gap_ok(prev_num, cur_num, spec_)) {
-            valid = false;
-            break;
-          }
-        } else {
-          const Rational a = prev_exact != nullptr
-                                 ? *prev_exact
-                                 : numeric::fixed_to_rational(prev_num, w_, spec_.scale_big);
-          const Rational b = cur_exact != nullptr
-                                 ? *cur_exact
-                                 : numeric::fixed_to_rational(cur_num, w_, spec_.scale_big);
-          if (b - a < delta_) {
-            valid = false;
-            break;
-          }
-        }
-      }
-      prev_num = cur_num;
-      prev_exact = cur_exact;
-      have_prev = true;
-    }
-    if (!valid) {
-      // Roll the arena back; the vote was never published.
-      arena_ids_.resize(id_mark);
-      arena_nums_.resize(num_mark);
-      if (exacts_index >= 0) --vote_exacts_used_;
+  // Side entries present. The side list must run in index order, and
+  // without a grid it must hold every entry.
+  const Exacts& exacts = msg.exacts;
+  std::size_t ec = 0;
+  for (std::size_t i = 0; i < count; ++i) {
+    if (i > 0 && msg.ids[i] <= msg.ids[i - 1]) return false;
+    if (ec < exacts.size() && exacts[ec].first == i) {
+      if (exacts[ec++].second.encoded_bits() > options_.max_rank_bits) return false;
+    } else if (msg.width == 0 || (!bits_always_ok_ && !rank_bits_ok(msg.nums.data() + i * w_))) {
       return false;
     }
   }
+  if (ec != exacts.size()) return false;
 
-  votes_.push_back(vote);
-  return true;
-}
-
-Rational FixedVotingEngine::value_at(const Vote& vote, std::uint32_t index) const {
-  if (vote.exacts >= 0) {
-    const ExactEntries& exacts = vote_exacts_[static_cast<std::size_t>(vote.exacts)];
-    const auto it = std::lower_bound(
-        exacts.begin(), exacts.end(), index,
-        [](const auto& entry, std::uint32_t i) { return entry.first < i; });
-    if (it != exacts.end() && it->first == index) return it->second;
+  if (options_.validate_votes) {
+    const limb_t* prev_num = nullptr;
+    const Rational* prev_exact = nullptr;
+    std::uint32_t pos = 0;
+    ec = 0;
+    for (const Id id : timely_flat_) {
+      while (pos < count && msg.ids[pos] < id) ++pos;
+      if (pos >= count || msg.ids[pos] != id) return false;
+      while (ec < exacts.size() && exacts[ec].first < pos) ++ec;
+      const Rational* cur_exact =
+          ec < exacts.size() && exacts[ec].first == pos ? &exacts[ec].second : nullptr;
+      const limb_t* cur_num =
+          cur_exact == nullptr ? msg.nums.data() + static_cast<std::size_t>(pos) * w_ : nullptr;
+      if (prev_num == nullptr && prev_exact == nullptr) {
+        // The first timely id: no gap to check.
+      } else if (prev_exact == nullptr && cur_exact == nullptr) {
+        if (!gap_ok(prev_num, cur_num, spec_)) return false;
+      } else {
+        const Rational a = prev_exact != nullptr
+                               ? *prev_exact
+                               : numeric::fixed_to_rational(prev_num, w_, spec_.scale_big);
+        const Rational b = cur_exact != nullptr
+                               ? *cur_exact
+                               : numeric::fixed_to_rational(cur_num, w_, spec_.scale_big);
+        if (b - a < delta_) return false;
+      }
+      prev_num = cur_num;
+      prev_exact = cur_exact;
+    }
   }
-  return numeric::fixed_to_rational(vote.nums + static_cast<std::size_t>(index) * w_, w_,
-                                    spec_.scale_big);
+
+  votes_.push_back(
+      Vote{msg.ids.data(), msg.nums.data(), static_cast<std::uint32_t>(count), &exacts, 0, 0});
+  return true;
 }
 
 void FixedVotingEngine::push_result(Id id, const limb_t* num) {
@@ -578,47 +492,19 @@ void FixedVotingEngine::step(const sim::Inbox& inbox, const std::set<Id>& timely
   ++step_serial_;
   timely_flat_.assign(timely.begin(), timely.end());
   votes_.clear();
-  vote_exacts_used_ = 0;
-
-  // Size the arena before taking pointers into it: classic (and
-  // spec-mismatched) votes convert into contiguous storage that must
-  // not move for the rest of the step.
-  std::size_t classic_entries = 0;
-  for (const sim::Delivery& d : inbox) {
-    if (const auto* classic = std::get_if<sim::RanksMsg>(&*d.payload)) {
-      classic_entries += classic->entries.size();
-    } else if (const auto* fixed = std::get_if<sim::FixedRanksMsg>(&*d.payload)) {
-      if (!matches_spec(*fixed)) classic_entries += fixed->ids.size();
-    }
-  }
-  arena_ids_.clear();
-  arena_ids_.reserve(classic_entries);
-  arena_nums_.clear();
-  arena_nums_.reserve(classic_entries * static_cast<std::size_t>(w_));
+  foreign_.clear();
 
   // Admission: at most one vote per link, counted and filtered exactly
   // like the oracle path (decode_vote + is_valid_ranks). As there, a
   // link is only burned by an *accepted* vote.
   for (const sim::Delivery& d : inbox) {
-    const auto* fixed = std::get_if<sim::FixedRanksMsg>(&*d.payload);
-    const auto* classic = std::get_if<sim::RanksMsg>(&*d.payload);
-    if (fixed == nullptr && classic == nullptr) continue;
+    const auto* msg = std::get_if<sim::RanksMsg>(&*d.payload);
+    if (msg == nullptr) continue;
     if (link_seen_[static_cast<std::size_t>(d.link)] == step_serial_) {
       ++rejected_votes;
       continue;
     }
-    bool ok;
-    if (fixed != nullptr && matches_spec(*fixed)) {
-      ok = admit_fixed(*fixed);
-    } else if (fixed != nullptr) {
-      // Foreign-instance fixed vote: degrade to the classic path via
-      // its exact equivalent (never produced by this simulator's
-      // honest or adversarial senders; handled for totality).
-      ok = admit_classic(sim::to_ranks_msg(*fixed));
-    } else {
-      ok = admit_classic(*classic);
-    }
-    if (ok) {
+    if (admit(*msg)) {
       link_seen_[static_cast<std::size_t>(d.link)] = step_serial_;
     } else {
       ++rejected_votes;
@@ -641,7 +527,7 @@ void FixedVotingEngine::step(const sim::Inbox& inbox, const std::set<Id>& timely
   bool all_fixed = w_ == 2;
   if (all_fixed) {
     for (const Vote& vote : votes_) {
-      if (vote.exacts >= 0) {
+      if (vote.exacts != nullptr) {
         all_fixed = false;
         break;
       }
@@ -688,8 +574,8 @@ void FixedVotingEngine::step(const sim::Inbox& inbox, const std::set<Id>& timely
     for (Vote& vote : votes_) {
       while (vote.cursor < vote.count && vote.ids[vote.cursor] < id) ++vote.cursor;
       if (vote.cursor >= vote.count || vote.ids[vote.cursor] != id) continue;
-      if (vote.exacts >= 0) {
-        const ExactEntries& exacts = vote_exacts_[static_cast<std::size_t>(vote.exacts)];
+      if (vote.exacts != nullptr) {
+        const Exacts& exacts = *vote.exacts;
         while (vote.exact_cursor < exacts.size() &&
                exacts[vote.exact_cursor].first < vote.cursor) {
           ++vote.exact_cursor;
@@ -786,14 +672,6 @@ void FixedVotingEngine::step(const sim::Inbox& inbox, const std::set<Id>& timely
   nums_.swap(next_nums_);
   is_exact_.swap(next_is_exact_);
   overrides_.swap(next_overrides_);
-  shrink_scratch();
-}
-
-void FixedVotingEngine::shrink_scratch() {
-  if (arena_nums_.capacity() > kArenaKeepLimbs) {
-    arena_nums_ = std::vector<limb_t>();
-    arena_ids_ = std::vector<Id>();
-  }
 }
 
 RankMap FixedVotingEngine::materialize() const {

@@ -3,6 +3,7 @@
 
 #include <array>
 #include <cstdint>
+#include <list>
 #include <map>
 #include <optional>
 #include <set>
@@ -58,19 +59,19 @@ struct RankRef {
   const numeric::Rational* exact = nullptr;
 };
 
-/// Builds one Alg. 1 vote under the rule FixedVotingEngine::encode_ranks
-/// applies: a FixedRanksMsg when every value lies on the instance grid,
-/// else the classic RanksMsg (the codec encodes both to the same bytes).
-/// Byzantine producers build each face once per round and hand the one
-/// PayloadRef wrap() returns to all of that face's targets. Push entries
-/// in ascending id order. The affine pushes cover the equivocating
-/// strategies' faces (a rank, moved by whole deltas and whole units)
-/// and run in limbs while the result stays on the grid.
+/// Builds one Alg. 1 vote the way FixedVotingEngine::encode_ranks lays
+/// out its own: entries on the instance grid as limbs, the rest on the
+/// vote's exact side list. Byzantine producers build each face once per
+/// round and hand the one PayloadRef wrap() returns to all of that
+/// face's targets. Push entries in ascending id order. The affine pushes
+/// cover the equivocating strategies' faces (a rank, moved by whole
+/// deltas and whole units) and run in limbs while the result stays on
+/// the grid.
 class VoteBuilder {
  public:
   /// Without a usable grid (null, or !ok: the exact kernel, an
-  /// over-budget instance) every vote takes the classic form. `grid`
-  /// must outlive the builder.
+  /// over-budget instance) every entry is exact (width 0). `grid` must
+  /// outlive the builder.
   VoteBuilder(const numeric::FixedSpec* grid, numeric::Rational delta);
 
   void reserve(std::size_t entries);
@@ -82,7 +83,7 @@ class VoteBuilder {
   /// Appends deltas * delta.
   void push_deltas(sim::Id id, std::int64_t deltas);
 
-  /// Appends an exact value; it joins the fixed lane when on the grid.
+  /// Appends an exact value; it goes on the grid when it fits there.
   void push(sim::Id id, const numeric::Rational& value);
 
   /// Wraps the vote built so far in one shared payload and empties the
@@ -91,13 +92,10 @@ class VoteBuilder {
 
  private:
   void push_affine(sim::Id id, const RankRef* base, std::int64_t deltas, std::int64_t units);
-  void push_exact(sim::Id id, numeric::Rational value);
 
-  const numeric::FixedSpec* grid_;  ///< null: every vote is classic
+  const numeric::FixedSpec* grid_;  ///< null: every entry is exact
   numeric::Rational delta_;
-  std::vector<sim::Id> ids_;
-  std::vector<numeric::limb_t> nums_;  ///< spec.width limbs per id; zeros where exact
-  std::vector<std::pair<std::uint32_t, numeric::Rational>> exacts_;
+  sim::RanksMsg msg_;
 };
 
 /// Fixed-point voting engine: the SoA rank state of one renaming
@@ -121,9 +119,8 @@ class FixedVotingEngine {
   /// ranks[id] := position * delta over the sorted accepted set.
   void assign_initial_ranks(const std::set<sim::Id>& accepted);
 
-  /// This round's broadcast: a FixedRanksMsg while every rank is
-  /// on-grid (the steady state), else the classic RanksMsg equivalent.
-  /// Both encode to identical wire bytes (VoteBuilder's rule).
+  /// This round's broadcast: the state columns, with the ranks carried
+  /// as overrides on the side list.
   [[nodiscard]] sim::PayloadRef encode_ranks() const;
 
   /// Visits the current ranks in id order.
@@ -159,24 +156,24 @@ class FixedVotingEngine {
   [[nodiscard]] int override_count() const noexcept { return static_cast<int>(overrides_.size()); }
 
  private:
+  using Exacts = std::vector<sim::RanksMsg::Exact>;
+
+  /// An admitted vote, read in place from its message.
   struct Vote {
     const sim::Id* ids = nullptr;
     const numeric::limb_t* nums = nullptr;
     std::uint32_t count = 0;
-    std::int32_t exacts = -1;  ///< index into vote_exacts_, -1 if none
+    const Exacts* exacts = nullptr;  ///< the side list; null if empty
     std::uint32_t cursor = 0;
     std::uint32_t exact_cursor = 0;
   };
-  using ExactEntries = std::vector<std::pair<std::uint32_t, numeric::Rational>>;
 
-  [[nodiscard]] bool matches_spec(const sim::FixedRanksMsg& msg) const noexcept;
-  [[nodiscard]] bool admit_fixed(const sim::FixedRanksMsg& msg);
-  [[nodiscard]] bool admit_classic(const sim::RanksMsg& msg);
+  /// Admits a vote that passes the checks decode_vote + is_valid_ranks
+  /// apply to its values.
+  [[nodiscard]] bool admit(const sim::RanksMsg& msg);
   [[nodiscard]] bool rank_bits_ok(const numeric::limb_t* num) const;
-  [[nodiscard]] numeric::Rational value_at(const Vote& vote, std::uint32_t index) const;
   void push_result(sim::Id id, const numeric::limb_t* num);
   void push_override(sim::Id id, numeric::Rational value);
-  void shrink_scratch();
 
   sim::SystemParams params_;
   RenamingOptions options_;
@@ -184,8 +181,8 @@ class FixedVotingEngine {
   numeric::Rational delta_;
   int w_ = 0;
   /// True when every representable fixed value trivially satisfies
-  /// max_rank_bits (the default budget): the per-entry bits check in
-  /// admit_fixed then short-circuits entirely.
+  /// max_rank_bits (the default budget): the per-entry bits check on
+  /// limb entries then short-circuits entirely.
   bool bits_always_ok_ = false;
 
   // --- state: parallel arrays sorted by id, overrides on the side ----
@@ -201,10 +198,9 @@ class FixedVotingEngine {
 
   // --- pooled per-step scratch (reused round over round) -------------
   std::vector<Vote> votes_;
-  std::vector<sim::Id> arena_ids_;         ///< converted classic-vote ids
-  std::vector<numeric::limb_t> arena_nums_;
-  std::vector<ExactEntries> vote_exacts_;
-  std::size_t vote_exacts_used_ = 0;
+  /// All-exact copies of votes on another instance's grid; a list,
+  /// which allocates nothing while empty and never moves an element.
+  std::list<sim::RanksMsg> foreign_;
   std::vector<int> link_seen_;  ///< stamped with step_serial_, never cleared
   int step_serial_ = 0;
   std::vector<sim::Id> timely_flat_;  ///< pooled copy of the timely set

@@ -229,7 +229,7 @@ struct ReducedBits {
 
 /// Sizes num/S in lowest terms without building it: a limb gcd against
 /// S (kFixedRankLimbs little-endian limbs, nonzero) and quotient bit
-/// lengths by shift-compare. Heap-free; the codec sizes fixed votes with
+/// lengths by shift-compare. Heap-free; the codec sizes grid entries with
 /// it. Zero reduces to 0/1.
 [[nodiscard]] ReducedBits fixed_reduced_bits(const limb_t* num, int width,
                                              const limb_t* scale) noexcept;

@@ -178,11 +178,11 @@ std::vector<std::uint8_t> encode(const Payload& payload) {
           put_svarint(out, msg.id);
         } else if constexpr (std::is_same_v<T, RanksMsg>) {
           out.push_back(static_cast<std::uint8_t>(Kind::kRanks));
-          put_varint(out, msg.entries.size());
-          for (const RankEntry& entry : msg.entries) {
-            put_svarint(out, entry.id);
-            put_rational(out, entry.rank);
-          }
+          put_varint(out, msg.ids.size());
+          msg.for_each_value([&out](Id id, const Rational& rank) {
+            put_svarint(out, id);
+            put_rational(out, rank);
+          });
         } else if constexpr (std::is_same_v<T, MultiEchoMsg>) {
           out.push_back(static_cast<std::uint8_t>(Kind::kMultiEcho));
           put_varint(out, msg.ids.size());
@@ -200,26 +200,13 @@ std::vector<std::uint8_t> encode(const Payload& payload) {
           put_svarint(out, msg.sim_round);
           put_varint(out, msg.blob.size());
           out.insert(out.end(), msg.blob.begin(), msg.blob.end());
-        } else if constexpr (std::is_same_v<T, WrappedEchoMsg>) {
+        } else {
+          static_assert(std::is_same_v<T, WrappedEchoMsg>);
           out.push_back(static_cast<std::uint8_t>(Kind::kWrappedEcho));
           put_svarint(out, msg.sender);
           put_svarint(out, msg.sim_round);
           put_varint(out, msg.blob.size());
           out.insert(out.end(), msg.blob.begin(), msg.blob.end());
-        } else {
-          static_assert(std::is_same_v<T, FixedRanksMsg>);
-          // A fixed-point vote encodes as the byte-identical RanksMsg of
-          // its reduced-rational equivalents: message complexity (and
-          // the decoder) cannot distinguish the two representations.
-          const BigInt scale = BigInt::from_words64(
-              msg.scale.data(), numeric::kFixedRankLimbs, false);
-          out.push_back(static_cast<std::uint8_t>(Kind::kRanks));
-          put_varint(out, msg.ids.size());
-          for (std::size_t i = 0; i < msg.ids.size(); ++i) {
-            put_svarint(out, msg.ids[i]);
-            put_rational(out, numeric::fixed_to_rational(
-                                  msg.nums.data() + i * msg.width, msg.width, scale));
-          }
         }
       },
       payload);
@@ -251,13 +238,14 @@ std::optional<Payload> decode(const std::vector<std::uint8_t>& bytes) {
       const auto count = reader.varint();
       if (!count.has_value() || *count > kMaxVectorEntries) return std::nullopt;
       RanksMsg msg;
-      msg.entries.reserve(static_cast<std::size_t>(*count));
+      msg.ids.reserve(static_cast<std::size_t>(*count));
+      msg.exacts.reserve(static_cast<std::size_t>(*count));
       for (std::uint64_t i = 0; i < *count; ++i) {
         const auto id = reader.svarint();
         if (!id.has_value()) return std::nullopt;
         auto rank = reader.rational();
         if (!rank.has_value()) return std::nullopt;
-        msg.entries.push_back({*id, std::move(*rank)});
+        msg.push_exact(*id, std::move(*rank));
       }
       result = std::move(msg);
       break;
@@ -330,19 +318,14 @@ std::size_t encoded_bits(const Payload& payload) {
   // them analytically so the per-broadcast charge allocates nothing.
   // codec_test asserts these equal 8 * encode().size() exactly.
   if (const auto* ranks = std::get_if<RanksMsg>(&payload)) {
-    std::size_t bytes = 1 + varint_len(ranks->entries.size());
-    for (const RankEntry& entry : ranks->entries) {
-      bytes += svarint_len(entry.id) + rational_len(entry.rank);
-    }
-    return bytes * 8;
-  }
-  if (const auto* fixed = std::get_if<FixedRanksMsg>(&payload)) {
-    std::size_t bytes = 1 + varint_len(fixed->ids.size());
-    for (std::size_t i = 0; i < fixed->ids.size(); ++i) {
-      bytes += svarint_len(fixed->ids[i]) +
-               reduced_len(numeric::fixed_reduced_bits(fixed->nums.data() + i * fixed->width,
-                                                       fixed->width, fixed->scale.data()));
-    }
+    std::size_t bytes = 1 + varint_len(ranks->ids.size());
+    ranks->for_each_entry(
+        [&](Id id, const numeric::limb_t* num) {
+          bytes += svarint_len(id) +
+                   reduced_len(numeric::fixed_reduced_bits(num, ranks->width,
+                                                           ranks->scale.data()));
+        },
+        [&](Id id, const Rational& rank) { bytes += svarint_len(id) + rational_len(rank); });
     return bytes * 8;
   }
   if (const auto* aa = std::get_if<AAValueMsg>(&payload)) {

@@ -14,23 +14,7 @@ std::size_t rational_bits(const numeric::Rational& value) noexcept {
   return value.encoded_bits();
 }
 
-numeric::Rational entry_rational(const FixedRanksMsg& msg, std::size_t index,
-                                 const numeric::BigInt& scale) {
-  return numeric::fixed_to_rational(msg.nums.data() + index * msg.width, msg.width, scale);
-}
-
 }  // namespace
-
-RanksMsg to_ranks_msg(const FixedRanksMsg& msg) {
-  const numeric::BigInt scale =
-      numeric::BigInt::from_words64(msg.scale.data(), numeric::kFixedRankLimbs, false);
-  RanksMsg out;
-  out.entries.reserve(msg.ids.size());
-  for (std::size_t i = 0; i < msg.ids.size(); ++i) {
-    out.entries.push_back({msg.ids[i], entry_rational(msg, i, scale)});
-  }
-  return out;
-}
 
 std::size_t wire_bits(const Payload& payload) noexcept {
   return kTagBits + std::visit(
@@ -40,10 +24,17 @@ std::size_t wire_bits(const Payload& payload) noexcept {
                                         std::is_same_v<T, ReadyMsg>) {
                             return kIdBits;
                           } else if constexpr (std::is_same_v<T, RanksMsg>) {
-                            std::size_t bits = kLengthBits;
-                            for (const RankEntry& entry : msg.entries) {
-                              bits += kIdBits + rational_bits(entry.rank);
-                            }
+                            std::size_t bits = kLengthBits + msg.ids.size() * kIdBits;
+                            msg.for_each_entry(
+                                [&](Id, const numeric::limb_t* num) {
+                                  const numeric::ReducedBits shape =
+                                      numeric::fixed_reduced_bits(num, msg.width,
+                                                                  msg.scale.data());
+                                  bits += shape.num_bits + shape.den_bits + 2;
+                                },
+                                [&](Id, const numeric::Rational& value) {
+                                  bits += rational_bits(value);
+                                });
                             return bits;
                           } else if constexpr (std::is_same_v<T, MultiEchoMsg>) {
                             return kLengthBits + msg.ids.size() * kIdBits;
@@ -53,19 +44,9 @@ std::size_t wire_bits(const Payload& payload) noexcept {
                             return kIdBits + kLengthBits + msg.words.size() * kIdBits;
                           } else if constexpr (std::is_same_v<T, WrappedCastMsg>) {
                             return kIdBits + kLengthBits + msg.blob.size() * 8;
-                          } else if constexpr (std::is_same_v<T, WrappedEchoMsg>) {
-                            return 2 * kIdBits + kLengthBits + msg.blob.size() * 8;
                           } else {
-                            static_assert(std::is_same_v<T, FixedRanksMsg>);
-                            // Mirror of the RanksMsg branch over the
-                            // reduced-rational equivalents.
-                            std::size_t bits = kLengthBits;
-                            for (std::size_t i = 0; i < msg.ids.size(); ++i) {
-                              const numeric::ReducedBits shape = numeric::fixed_reduced_bits(
-                                  msg.nums.data() + i * msg.width, msg.width, msg.scale.data());
-                              bits += kIdBits + shape.num_bits + shape.den_bits + 2;
-                            }
-                            return bits;
+                            static_assert(std::is_same_v<T, WrappedEchoMsg>);
+                            return 2 * kIdBits + kLengthBits + msg.blob.size() * 8;
                           }
                         },
                         payload);
@@ -83,11 +64,12 @@ std::string describe(const Payload& payload) {
         } else if constexpr (std::is_same_v<T, ReadyMsg>) {
           out << "Ready(" << msg.id << ")";
         } else if constexpr (std::is_same_v<T, RanksMsg>) {
-          out << "Ranks[" << msg.entries.size() << "]{";
-          for (std::size_t i = 0; i < msg.entries.size(); ++i) {
-            if (i != 0) out << ", ";
-            out << msg.entries[i].id << ":" << msg.entries[i].rank;
-          }
+          out << "Ranks[" << msg.ids.size() << "]{";
+          const char* separator = "";
+          msg.for_each_value([&](Id id, const numeric::Rational& rank) {
+            out << separator << id << ":" << rank;
+            separator = ", ";
+          });
           out << "}";
         } else if constexpr (std::is_same_v<T, MultiEchoMsg>) {
           out << "MultiEcho[" << msg.ids.size() << "]{";
@@ -102,21 +84,10 @@ std::string describe(const Payload& payload) {
           out << "Word(tag=" << msg.tag << ", words=" << msg.words.size() << ")";
         } else if constexpr (std::is_same_v<T, WrappedCastMsg>) {
           out << "Cast(r=" << msg.sim_round << ", " << msg.blob.size() << "B)";
-        } else if constexpr (std::is_same_v<T, WrappedEchoMsg>) {
+        } else {
+          static_assert(std::is_same_v<T, WrappedEchoMsg>);
           out << "CastEcho(p" << msg.sender << ", r=" << msg.sim_round << ", " << msg.blob.size()
               << "B)";
-        } else {
-          static_assert(std::is_same_v<T, FixedRanksMsg>);
-          // Render exactly like the equivalent RanksMsg so traces are
-          // identical across rank kernels.
-          const numeric::BigInt scale = numeric::BigInt::from_words64(
-              msg.scale.data(), numeric::kFixedRankLimbs, false);
-          out << "Ranks[" << msg.ids.size() << "]{";
-          for (std::size_t i = 0; i < msg.ids.size(); ++i) {
-            if (i != 0) out << ", ";
-            out << msg.ids[i] << ":" << entry_rational(msg, i, scale);
-          }
-          out << "}";
         }
       },
       payload);

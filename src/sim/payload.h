@@ -1,6 +1,7 @@
 #ifndef BYZRENAME_SIM_PAYLOAD_H
 #define BYZRENAME_SIM_PAYLOAD_H
 
+#include <array>
 #include <atomic>
 #include <concepts>
 #include <cstdint>
@@ -35,41 +36,64 @@ struct ReadyMsg {
   friend bool operator==(const ReadyMsg&, const ReadyMsg&) = default;
 };
 
-/// One (id, proposed rank) entry of a voting-phase message.
-struct RankEntry {
-  Id id = 0;
-  numeric::Rational rank;
-  friend bool operator==(const RankEntry&, const RankEntry&) = default;
-};
-
-/// Voting-phase vote: the sender's entire ranks array (paper: <AA, ranks>).
-/// Entries are sorted by id; receivers must tolerate arbitrary content
-/// since Byzantine senders craft these freely.
+/// Voting-phase vote: the sender's entire ranks array (paper: <AA, ranks>),
+/// sorted by id. Receivers must tolerate arbitrary content, since
+/// Byzantine senders craft these freely.
+///
+/// Entries sit on the sender's fixed-point grid (numeric/fixed_rank.h)
+/// where they can: `nums` holds `width` little-endian two's-complement
+/// limbs per id, each an integer numerator over `scale`, so receivers of
+/// the same instance use the limbs with no per-delivery conversion. An
+/// entry off that grid is listed in `exacts` under its index, and its
+/// limbs are zero. `width == 0` means no grid: every entry is exact,
+/// which is the form of exact-kernel votes and of decoded bytes. The
+/// codec encodes every entry as its reduced rational, so the wire cannot
+/// tell the forms apart.
 struct RanksMsg {
-  std::vector<RankEntry> entries;
+  using Exact = std::pair<std::uint32_t, numeric::Rational>;
+
+  std::int32_t width = 0;
+  std::array<numeric::limb_t, numeric::kFixedRankLimbs> scale{};
+  std::vector<Id> ids;
+  std::vector<numeric::limb_t> nums;  ///< width limbs per id
+  std::vector<Exact> exacts;          ///< ascending index
+
+  /// Appends an entry carried exactly.
+  void push_exact(Id id, numeric::Rational value) {
+    exacts.emplace_back(static_cast<std::uint32_t>(ids.size()), std::move(value));
+    ids.push_back(id);
+    nums.insert(nums.end(), static_cast<std::size_t>(width), 0);
+  }
+
+  /// Visits every entry in order as on_grid(id, limbs) or
+  /// off_grid(id, exact value).
+  template <typename OnGrid, typename OffGrid>
+  void for_each_entry(OnGrid&& on_grid, OffGrid&& off_grid) const {
+    std::size_t next = 0;
+    for (std::size_t i = 0; i < ids.size(); ++i) {
+      if (next < exacts.size() && exacts[next].first == i) {
+        off_grid(ids[i], exacts[next++].second);
+      } else {
+        on_grid(ids[i], nums.data() + i * static_cast<std::size_t>(width));
+      }
+    }
+  }
+
+  /// Visits every entry in order as visit(id, value).
+  template <typename Visit>
+  void for_each_value(Visit&& visit) const {
+    const numeric::BigInt grid =
+        width > 0 ? numeric::BigInt::from_words64(scale.data(), numeric::kFixedRankLimbs, false)
+                  : numeric::BigInt();
+    for_each_entry(
+        [&](Id id, const numeric::limb_t* num) {
+          visit(id, numeric::fixed_to_rational(num, width, grid));
+        },
+        visit);
+  }
+
   friend bool operator==(const RanksMsg&, const RanksMsg&) = default;
 };
-
-/// Voting-phase vote in fixed-point form: the semantic twin of RanksMsg
-/// for senders whose whole ranks array sits on the instance's common
-/// denominator grid (numeric/fixed_rank.h). SoA layout: `nums` holds
-/// `width` little-endian two's-complement limbs per id, each an integer
-/// numerator over `scale`; receivers of the same instance use the limbs
-/// directly with zero per-delivery conversion. On the wire this message
-/// IS a RanksMsg: the codec emits the byte-identical reduced-rational
-/// encoding (and decodes those bytes back to a RanksMsg), so message
-/// complexity accounting cannot tell the two apart.
-struct FixedRanksMsg {
-  std::int32_t width = 2;
-  std::array<numeric::limb_t, numeric::kFixedRankLimbs> scale{};
-  std::vector<Id> ids;             ///< sorted ascending
-  std::vector<numeric::limb_t> nums;  ///< width limbs per id
-  friend bool operator==(const FixedRanksMsg&, const FixedRanksMsg&) = default;
-};
-
-/// Materializes the exact-Rational equivalent of a fixed-point vote —
-/// the message an exact-kernel sender with the same state would emit.
-[[nodiscard]] RanksMsg to_ranks_msg(const FixedRanksMsg& msg);
 
 /// Step-2 message of the 2-step algorithm (paper: <MultiEcho, ids>).
 struct MultiEchoMsg {
@@ -113,7 +137,7 @@ struct WrappedEchoMsg {
 /// round with any content; correct receivers must ignore what they cannot
 /// interpret at the current step.
 using Payload = std::variant<IdMsg, EchoMsg, ReadyMsg, RanksMsg, MultiEchoMsg, AAValueMsg, WordMsg,
-                             WrappedCastMsg, WrappedEchoMsg, FixedRanksMsg>;
+                             WrappedCastMsg, WrappedEchoMsg>;
 
 /// Size of the payload in bits under a simple fixed-width wire model:
 /// ids cost 64 bits (log Nmax), rationals their exact numerator +

@@ -123,13 +123,11 @@ class DeliveryRecorder final : public sim::ProcessBehavior {
   std::unique_ptr<sim::ProcessBehavior> inner_;
 };
 
-/// A delivered vote as exact ranks, whichever wire form it took.
+/// A delivered vote as exact ranks, whichever entries sat on the grid.
 core::RankMap vote_values(const sim::Payload& payload) {
-  const auto* fixed = std::get_if<sim::FixedRanksMsg>(&payload);
-  const sim::RanksMsg msg =
-      fixed != nullptr ? sim::to_ranks_msg(*fixed) : std::get<sim::RanksMsg>(payload);
   core::RankMap out;
-  for (const sim::RankEntry& entry : msg.entries) out.emplace(entry.id, entry.rank);
+  std::get<sim::RanksMsg>(payload).for_each_value(
+      [&out](sim::Id id, const numeric::Rational& rank) { out.emplace(id, rank); });
   return out;
 }
 

@@ -2,9 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <initializer_list>
+#include <iterator>
 #include <random>
 #include <set>
 #include <type_traits>
+#include <utility>
 
 #include "numeric/bigint.h"
 #include "numeric/fixed_rank.h"
@@ -15,6 +18,20 @@ namespace {
 
 using numeric::BigInt;
 using numeric::Rational;
+
+/// A vote of exact entries (width 0, the form decode() yields).
+RanksMsg exact_ranks(std::initializer_list<std::pair<Id, Rational>> entries) {
+  RanksMsg msg;
+  for (const auto& [id, rank] : entries) msg.push_exact(id, rank);
+  return msg;
+}
+
+/// The width-0 twin of a vote: every entry exact.
+RanksMsg exact_form(const RanksMsg& msg) {
+  RanksMsg out;
+  msg.for_each_value([&out](Id id, const Rational& value) { out.push_exact(id, value); });
+  return out;
+}
 
 void expect_round_trip(const Payload& payload) {
   const std::vector<std::uint8_t> bytes = encode(payload);
@@ -35,11 +52,9 @@ TEST(Codec, RoundTripsSimpleMessages) {
 
 TEST(Codec, RoundTripsRanks) {
   expect_round_trip(RanksMsg{});
-  expect_round_trip(RanksMsg{{{5, Rational::of(41, 40)}}});
+  expect_round_trip(exact_ranks({{5, Rational::of(41, 40)}}));
   RanksMsg big;
-  for (int i = 0; i < 100; ++i) {
-    big.entries.push_back({1000 + i, Rational::of(i * 41 + 1, 40)});
-  }
+  for (int i = 0; i < 100; ++i) big.push_exact(1000 + i, Rational::of(i * 41 + 1, 40));
   expect_round_trip(big);
 }
 
@@ -62,7 +77,7 @@ TEST(Codec, RoundTripsMultiEchoAndWords) {
 TEST(Codec, SmallMessagesEncodeSmall) {
   // Varint efficiency: a 1-digit id costs 2 bytes total, not 9.
   EXPECT_EQ(encode(IdMsg{5}).size(), 2u);
-  EXPECT_LE(encode(RanksMsg{{{3, Rational::of(41, 40)}}}).size(), 8u);
+  EXPECT_LE(encode(exact_ranks({{3, Rational::of(41, 40)}})).size(), 8u);
 }
 
 TEST(Codec, RejectsEmptyAndUnknownKind) {
@@ -72,7 +87,7 @@ TEST(Codec, RejectsEmptyAndUnknownKind) {
 }
 
 TEST(Codec, RejectsTruncation) {
-  const std::vector<std::uint8_t> good = encode(RanksMsg{{{5, Rational::of(41, 40)}}});
+  const std::vector<std::uint8_t> good = encode(exact_ranks({{5, Rational::of(41, 40)}}));
   for (std::size_t cut = 1; cut < good.size(); ++cut) {
     const std::vector<std::uint8_t> truncated(good.begin(),
                                               good.begin() + static_cast<std::ptrdiff_t>(cut));
@@ -157,10 +172,9 @@ TEST(Codec, FuzzRoundTripRandomPayloads) {
       case 2: {
         RanksMsg msg;
         for (std::uint64_t k = rng() % 6; k > 0; --k) {
-          msg.entries.push_back(
-              {static_cast<std::int64_t>(rng() % 100000),
-               Rational::of(static_cast<std::int64_t>(rng() % 2001) - 1000,
-                            static_cast<std::int64_t>(rng() % 999) + 1)});
+          const auto id = static_cast<std::int64_t>(rng() % 100000);
+          msg.push_exact(id, Rational::of(static_cast<std::int64_t>(rng() % 2001) - 1000,
+                                          static_cast<std::int64_t>(rng() % 999) + 1));
         }
         payload = std::move(msg);
         break;
@@ -185,7 +199,7 @@ TEST(Codec, FuzzRoundTripRandomPayloads) {
 }
 
 TEST(Codec, EncodedBitsMatchesEncodeSize) {
-  const Payload payload = RanksMsg{{{5, Rational::of(41, 40)}, {9, Rational::of(82, 40)}}};
+  const Payload payload = exact_ranks({{5, Rational::of(41, 40)}, {9, Rational::of(82, 40)}});
   EXPECT_EQ(encoded_bits(payload), encode(payload).size() * 8);
 }
 
@@ -241,7 +255,7 @@ TEST(Codec, EncodedBitsMatchesEncodeSizeForRandomFixedVotes) {
     ASSERT_TRUE(spec.ok);
     widths.insert(spec.width);
     for (int vote = 0; vote < 60; ++vote) {
-      FixedRanksMsg msg;
+      RanksMsg msg;
       msg.width = spec.width;
       msg.scale = spec.scale;
       sim::Id id = 0;
@@ -262,14 +276,87 @@ TEST(Codec, EncodedBitsMatchesEncodeSizeForRandomFixedVotes) {
       const Payload payload = msg;
       SCOPED_TRACE(describe(payload));
       EXPECT_EQ(encoded_bits(payload), encode(payload).size() * 8);
-      EXPECT_EQ(wire_bits(payload), wire_bits(Payload(to_ranks_msg(msg))));
+      EXPECT_EQ(wire_bits(payload), wire_bits(Payload(exact_form(msg))));
     }
   }
   EXPECT_EQ(widths, (std::set<int>{2, 3, 4}));
 }
 
+TEST(Codec, SideListAtTheGridBoundaries) {
+  // Mixed votes: grid entries as limbs (fill_fixed_case), side entries
+  // just off the grid (1/(7S): kOffGrid) or one grid unit past the top
+  // of the range (2^(64w - 1)/S: kOverflow), first, last, everywhere,
+  // alternating or nowhere. Each must size, describe and encode exactly
+  // like the all-exact vote of the same values, and decode to it.
+  const numeric::FixedSpec specs[] = {
+      numeric::derive_fixed_spec(13, 4, 9),      // width 2
+      numeric::derive_fixed_spec(1024, 16, 15),  // width 3
+      numeric::derive_fixed_spec(1024, 16, 24),  // width 4
+  };
+  enum class Side { kNowhere, kFirst, kLast, kEverywhere, kAlternate };
+  std::mt19937_64 rng(20130708);
+  for (const numeric::FixedSpec& spec : specs) {
+    ASSERT_TRUE(spec.ok);
+    const int w = spec.width;
+    const Rational off_grid(BigInt(1), BigInt(7) * spec.scale_big);
+    std::vector<std::uint64_t> top(static_cast<std::size_t>(w), 0);
+    top.back() = std::uint64_t{1} << 63;
+    const Rational overflow(BigInt::from_words64(top.data(), w, false), spec.scale_big);
+    const Rational side_values[] = {off_grid,  -off_grid,  off_grid * Rational(3) + Rational(1),
+                                    overflow,  -overflow, overflow + off_grid};
+    for (const Rational& value : side_values) {
+      numeric::limb_t num[numeric::kFixedRankLimbs];
+      ASSERT_NE(numeric::rational_to_fixed(value, spec, num), numeric::FixedConvert::kOk);
+    }
+    numeric::limb_t num[numeric::kFixedRankLimbs];
+    ASSERT_EQ(numeric::rational_to_fixed(off_grid, spec, num), numeric::FixedConvert::kOffGrid);
+    ASSERT_EQ(numeric::rational_to_fixed(overflow, spec, num), numeric::FixedConvert::kOverflow);
+    ASSERT_EQ(numeric::rational_to_fixed(-overflow, spec, num), numeric::FixedConvert::kOverflow);
+
+    for (const Side side :
+         {Side::kNowhere, Side::kFirst, Side::kLast, Side::kEverywhere, Side::kAlternate}) {
+      for (int vote = 0; vote < 12; ++vote) {
+        RanksMsg mixed;
+        mixed.width = w;
+        mixed.scale = spec.scale;
+        RanksMsg exact;
+        const int count = 1 + static_cast<int>(rng() % 12);
+        Id id = 0;
+        for (int i = 0; i < count; ++i) {
+          id += 1 + static_cast<Id>(rng() % 1000);
+          const bool on_side = side == Side::kEverywhere || (side == Side::kFirst && i == 0) ||
+                               (side == Side::kLast && i == count - 1) ||
+                               (side == Side::kAlternate && i % 2 == 1);
+          if (on_side) {
+            const Rational& value = side_values[rng() % std::size(side_values)];
+            mixed.push_exact(id, value);
+            exact.push_exact(id, value);
+          } else {
+            fill_fixed_case(rng, spec, num);
+            mixed.ids.push_back(id);
+            mixed.nums.insert(mixed.nums.end(), num, num + w);
+            exact.push_exact(id, numeric::fixed_to_rational(num, w, spec.scale_big));
+          }
+        }
+        const Payload payload = mixed;
+        const Payload expected = exact;
+        SCOPED_TRACE(describe(expected));
+        const std::vector<std::uint8_t> bytes = encode(payload);
+        EXPECT_EQ(bytes, encode(expected));
+        EXPECT_EQ(encoded_bits(payload), 8 * bytes.size());
+        EXPECT_EQ(wire_bits(payload), wire_bits(expected));
+        EXPECT_EQ(describe(payload), describe(expected));
+        const std::optional<Payload> decoded = decode(bytes);
+        ASSERT_TRUE(decoded.has_value());
+        EXPECT_EQ(std::get<RanksMsg>(*decoded).width, 0);
+        EXPECT_EQ(*decoded, expected);
+      }
+    }
+  }
+}
+
 TEST(Codec, PayloadRefMemoizesTheCodecSize) {
-  const PayloadRef ref(RanksMsg{{{5, Rational::of(41, 40)}, {9, Rational::of(82, 40)}}});
+  const PayloadRef ref(exact_ranks({{5, Rational::of(41, 40)}, {9, Rational::of(82, 40)}}));
   const PayloadRef shared = ref;
   EXPECT_EQ(ref.encoded_bits(), encoded_bits(*ref));
   EXPECT_EQ(shared.encoded_bits(), encoded_bits(*ref));

@@ -10,8 +10,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <functional>
+#include <map>
+#include <optional>
 #include <set>
 #include <sstream>
 #include <string>
@@ -23,6 +26,7 @@
 #include "adversary/adversary.h"
 #include "core/harness.h"
 #include "core/params.h"
+#include "core/rank_approx.h"
 #include "core/voting_kernel.h"
 #include "exp/campaign.h"
 #include "exp/spec_parse.h"
@@ -32,6 +36,7 @@
 #include "sim/codec.h"
 #include "sim/fault.h"
 #include "sim/payload.h"
+#include "sim/rng.h"
 
 namespace byzrename {
 namespace {
@@ -135,7 +140,14 @@ TEST_F(FixedConvertBoundary, OverflowTriggersExactlyAtTheSymmetricRangeEdge) {
 }
 
 // ---------------------------------------------------------------------------
-// Wire codec: FixedRanksMsg and its RanksMsg twin are one wire format
+// Wire codec: a vote on the grid and its all-exact twin are one wire format
+
+/// The width-0 twin of a vote: every entry exact.
+sim::RanksMsg exact_form(const sim::RanksMsg& msg) {
+  sim::RanksMsg out;
+  msg.for_each_value([&out](sim::Id id, const Rational& value) { out.push_exact(id, value); });
+  return out;
+}
 
 TEST(FixedRanksCodec, EncodesByteIdenticallyToClassicForm) {
   const sim::SystemParams params{.n = 10, .t = 3};
@@ -147,21 +159,22 @@ TEST(FixedRanksCodec, EncodesByteIdenticallyToClassicForm) {
   engine.assign_initial_ranks(accepted);
 
   const sim::PayloadRef fixed_payload = engine.encode_ranks();
-  const auto* fixed = std::get_if<sim::FixedRanksMsg>(&*fixed_payload);
-  ASSERT_NE(fixed, nullptr);
-  const sim::RanksMsg classic = sim::to_ranks_msg(*fixed);
+  const auto& fixed = std::get<sim::RanksMsg>(*fixed_payload);
+  ASSERT_EQ(fixed.width, engine.spec().width);
+  ASSERT_TRUE(fixed.exacts.empty());
+  const sim::RanksMsg exact = exact_form(fixed);
 
   const std::vector<std::uint8_t> fixed_bytes = sim::encode(*fixed_payload);
-  EXPECT_EQ(fixed_bytes, sim::encode(sim::Payload{classic}));
+  EXPECT_EQ(fixed_bytes, sim::encode(sim::Payload{exact}));
   EXPECT_EQ(sim::encoded_bits(*fixed_payload), 8 * fixed_bytes.size());
 
-  // decode() of those bytes yields the classic form (the wire kind is
-  // kRanks), equal entry by entry.
+  // decode() of those bytes yields the all-exact form, equal entry by
+  // entry.
   const std::optional<sim::Payload> decoded = sim::decode(fixed_bytes);
   ASSERT_TRUE(decoded.has_value());
   const auto* round_trip = std::get_if<sim::RanksMsg>(&*decoded);
   ASSERT_NE(round_trip, nullptr);
-  EXPECT_EQ(*round_trip, classic);
+  EXPECT_EQ(*round_trip, exact);
 }
 
 // ---------------------------------------------------------------------------
@@ -178,13 +191,13 @@ TEST(FixedVotingEngine, OversizedRankEncodingStillRejected) {
   const core::RankMap before = engine.materialize();
 
   const sim::PayloadRef honest = engine.encode_ranks();
-  sim::RanksMsg bloated = sim::to_ranks_msg(std::get<sim::FixedRanksMsg>(*honest));
+  sim::RanksMsg bloated = exact_form(std::get<sim::RanksMsg>(*honest));
   // Denominator inflation far past max_rank_bits (default 4096): ~66
   // words of 64 bits. The structural bits check must reject the vote
   // before any arithmetic touches it.
   std::vector<std::uint64_t> words(66, 0);
   words[65] = 1;
-  bloated.entries[0].rank =
+  bloated.exacts[0].second =
       Rational(BigInt(1), BigInt::from_words64(words.data(), 66, false));
 
   sim::Inbox inbox;
@@ -209,7 +222,7 @@ TEST(FixedVotingEngine, OverlongFixedVoteRejected) {
   const std::set<sim::Id> timely = accepted;
 
   const sim::PayloadRef honest = engine.encode_ranks();
-  sim::FixedRanksMsg spam = std::get<sim::FixedRanksMsg>(*honest);
+  sim::RanksMsg spam = std::get<sim::RanksMsg>(*honest);
   // Entry count past n + t (Lemma IV.3's cap): must be rejected whole.
   while (spam.ids.size() <= 5) {
     spam.ids.push_back(spam.ids.back() + 1000);
@@ -224,8 +237,179 @@ TEST(FixedVotingEngine, OverlongFixedVoteRejected) {
   EXPECT_EQ(rejected, 1);
 }
 
+TEST(FixedVotingEngine, MalformedVoteLayoutRejected) {
+  // In-memory votes that break RanksMsg's layout are rejected whole
+  // rather than read out of bounds.
+  const sim::SystemParams params{.n = 4, .t = 1};
+  core::FixedVotingEngine engine(params, core::RenamingOptions{},
+                                 core::default_approximation_iterations(1));
+  ASSERT_TRUE(engine.enabled());
+  std::set<sim::Id> accepted{1, 2, 3, 4};
+  engine.assign_initial_ranks(accepted);
+  const std::set<sim::Id> timely = accepted;
+  const core::RankMap before = engine.materialize();
+
+  const sim::PayloadRef honest = engine.encode_ranks();
+  const auto& grid = std::get<sim::RanksMsg>(*honest);
+  const Rational delta = core::delta(params);
+  sim::RanksMsg unordered = grid;  // side list out of index order, values valid
+  unordered.exacts = {{2, Rational(3) * delta}, {1, Rational(2) * delta}};
+  sim::RanksMsg short_limbs = grid;  // one limb short
+  short_limbs.nums.pop_back();
+  sim::RanksMsg gridless = exact_form(grid);  // width 0, one entry not exact
+  gridless.exacts.pop_back();
+
+  sim::Inbox inbox;
+  for (int link = 0; link < 3; ++link) inbox.push_back({link, honest});
+  for (const sim::RanksMsg& bad : {unordered, short_limbs, gridless}) {
+    inbox.push_back({3, sim::PayloadRef(bad)});
+  }
+  int rejected = 0;
+  engine.step(inbox, timely, accepted, rejected);
+  EXPECT_EQ(rejected, 3);
+  EXPECT_EQ(engine.materialize(), before);
+}
+
 // ---------------------------------------------------------------------------
-// VoteBuilder: Byzantine faces take the fixed form exactly when on-grid
+// Exact lane differential: Byzantine votes off the grid, past its range,
+// without a grid or on another instance's grid drive the engine's exact
+// oracle lane, remainder overrides and foreign-grid admission; every
+// step must match decode_vote + is_valid_ranks + approximate.
+
+/// The oracle's view of one voting step (OpRenamingProcess's exact
+/// kernel): each payload is read back from its wire bytes, at most one
+/// vote per link is accepted, and only an accepted vote burns the link.
+void oracle_step(const sim::SystemParams& params, const std::set<sim::Id>& timely,
+                 const sim::Inbox& inbox, core::RankMap& ranks, std::set<sim::Id>& accepted,
+                 int& rejected) {
+  const core::RenamingOptions options;
+  std::map<sim::LinkIndex, core::RankMap> per_link;
+  for (const sim::Delivery& d : inbox) {
+    const std::optional<sim::Payload> wire = sim::decode(sim::encode(*d.payload));
+    ASSERT_TRUE(wire.has_value());
+    const auto* msg = std::get_if<sim::RanksMsg>(&*wire);
+    if (msg == nullptr) continue;
+    if (per_link.contains(d.link)) {
+      ++rejected;
+      continue;
+    }
+    core::RankMap vote;
+    if (!core::decode_vote(*msg, params, options, vote) ||
+        !core::is_valid_ranks(timely, vote, core::delta(params))) {
+      ++rejected;
+      continue;
+    }
+    per_link.emplace(d.link, std::move(vote));
+  }
+  std::vector<core::RankMap> votes;
+  for (auto& [link, vote] : per_link) votes.push_back(std::move(vote));
+  ranks = core::approximate(params, accepted, ranks, votes).new_ranks;
+}
+
+TEST(FixedVotingEngine, ExactLaneMatchesTheOracleStepByStep) {
+  for (const int n : {4, 7, 13}) {
+    const int t = (n - 1) / 3;
+    const sim::SystemParams params{.n = n, .t = t};
+    const int iterations = core::default_approximation_iterations(t);
+    const FixedSpec other_grid = numeric::derive_fixed_spec(n, t, iterations + 1);
+    ASSERT_TRUE(other_grid.ok);
+    const Rational delta = core::delta(params);
+    int max_overrides = 0;  // over every seed at this n
+    int rejections = 0;
+    for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+      SCOPED_TRACE("n=" + std::to_string(n) + " seed=" + std::to_string(seed));
+      sim::Rng rng(seed * 7919 + static_cast<std::uint64_t>(n));
+      core::FixedVotingEngine engine(params, core::RenamingOptions{}, iterations);
+      ASSERT_TRUE(engine.enabled());
+      const FixedSpec& grid = engine.spec();
+      std::array<limb_t, kFixedRankLimbs> top{};  // 2^(64w - 1) - 1
+      for (int i = 0; i < grid.width; ++i) top[static_cast<std::size_t>(i)] = ~limb_t{0};
+      top[static_cast<std::size_t>(grid.width - 1)] >>= 1;
+      const Rational past_top =
+          numeric::fixed_to_rational(top.data(), grid.width, grid.scale_big) + Rational(1);
+
+      std::set<sim::Id> accepted;
+      for (int i = 0; i < n; ++i) accepted.insert(100 + 10 * i + static_cast<sim::Id>(seed));
+      const std::set<sim::Id> timely = accepted;
+      engine.assign_initial_ranks(accepted);
+      core::RankMap oracle_ranks = engine.materialize();
+      std::set<sim::Id> oracle_accepted = accepted;
+      int rejected = 0;
+      int oracle_rejected = 0;
+
+      // One face of the current ranks, shifted off the grid (kinds 1, 6
+      // and 7) or by whole grid units (2 and 3). Kind 0 is the engine's
+      // own vote, kind 3 puts its last entry past the top of the range,
+      // kind 4 has no grid, kind 5 sits on another grid, and kind 7
+      // crowds its last entry to 1/7 above the one before (invalid).
+      const auto face = [&](std::int64_t kind) -> sim::PayloadRef {
+        if (kind == 0) return engine.encode_ranks();
+        const core::RankMap base = engine.materialize();
+        core::VoteBuilder vote(kind == 4 ? nullptr : kind == 5 ? &other_grid : &grid, delta);
+        const Rational unit(BigInt(rng.uniform(1, 5)), grid.scale_big);
+        const Rational shift = kind == 1 || kind == 7 ? Rational::of(1, 7)
+                               : kind == 2 || kind == 3 ? unit
+                               : kind == 6              ? Rational::of(-3, 7)
+                                                        : Rational(0);
+        Rational previous;
+        for (const auto& [id, rank] : base) {
+          Rational value = rank + shift;
+          if (id == base.rbegin()->first && kind == 3) value = past_top;
+          if (id == base.rbegin()->first && kind == 7) value = previous + Rational::of(1, 7);
+          vote.push(id, value);
+          previous = value;
+        }
+        return vote.wrap();
+      };
+
+      for (int step = 0; step < iterations; ++step) {
+        // Links below n - t send one valid face each, which keeps every
+        // id at n - t votes or more. The last t links may stay silent
+        // (padded with the local rank), send an invalid vote first (it
+        // does not burn the link), send a crowded one, or send twice.
+        // At step 0 every link sends one face with every entry but the
+        // last on the grid (own, unit-shifted and, on odd seeds, past
+        // the top), so both limb lanes, fused and not, meet sums that c
+        // does not divide.
+        const auto valid_kind = [&]() -> std::int64_t {
+          if (step > 0) return rng.uniform(0, 6);
+          const std::int64_t kind = rng.uniform(0, seed % 2 == 0 ? 1 : 2);
+          return kind == 0 ? 0 : kind + 1;
+        };
+        sim::Inbox inbox;
+        for (int link = 0; link < n; ++link) {
+          if (link < n - t || step == 0) {
+            inbox.push_back({link, face(valid_kind())});
+            continue;
+          }
+          if (rng.uniform(0, 5) == 0) continue;
+          if (rng.uniform(0, 3) == 0) {
+            core::VoteBuilder missing(&grid, delta);
+            missing.push_deltas(*timely.begin(), 1);
+            inbox.push_back({link, missing.wrap()});
+          }
+          inbox.push_back({link, face(rng.uniform(0, 7))});
+          if (rng.uniform(0, 3) == 0) inbox.push_back({link, face(rng.uniform(0, 7))});
+        }
+        engine.step(inbox, timely, accepted, rejected);
+        oracle_step(params, timely, inbox, oracle_ranks, oracle_accepted, oracle_rejected);
+        ASSERT_EQ(engine.materialize(), oracle_ranks) << "step " << step;
+        ASSERT_EQ(accepted, oracle_accepted) << "step " << step;
+        ASSERT_EQ(rejected, oracle_rejected) << "step " << step;
+        EXPECT_EQ(sim::encode(*engine.encode_ranks()),
+                  sim::encode(core::encode_vote(engine.materialize())))
+            << "step " << step;
+        max_overrides = std::max(max_overrides, engine.override_count());
+      }
+      rejections += rejected;
+    }
+    EXPECT_GT(max_overrides, 0) << "n=" << n;
+    EXPECT_GT(rejections, 0) << "n=" << n;
+  }
+}
+
+// ---------------------------------------------------------------------------
+// VoteBuilder: Byzantine faces keep an entry on the grid exactly when it fits
 
 TEST(VoteBuilder, FacesMatchTheirExactValuesOnAndOffTheGrid) {
   const sim::SystemParams params{.n = 13, .t = 4};
@@ -275,20 +459,20 @@ TEST(VoteBuilder, FacesMatchTheirExactValuesOnAndOffTheGrid) {
     core::VoteBuilder builder(&spec, delta);
     c.push(builder, base);
     const sim::PayloadRef face = builder.wrap();
-    EXPECT_EQ(std::holds_alternative<sim::FixedRanksMsg>(*face), c.fixed);
+    EXPECT_EQ(std::get<sim::RanksMsg>(*face).exacts.empty(), c.fixed);
     const sim::Payload exact = core::encode_vote(c.expected);
     EXPECT_EQ(sim::encode(*face), sim::encode(exact));
     EXPECT_EQ(face.encoded_bits(), sim::encoded_bits(exact));
 
-    // Without a grid (exact kernel) the same pushes build the classic form.
+    // Without a grid (exact kernel) the same pushes build the all-exact form.
     if (c.fixed) {
-      core::VoteBuilder classic(nullptr, delta);
+      core::VoteBuilder gridless(nullptr, delta);
       const Rational base_value = Rational(5) * delta;
       const core::RankRef exact_base{9, nullptr, &base_value};
-      c.push(classic, exact_base);
-      const sim::PayloadRef classic_face = classic.wrap();
-      EXPECT_TRUE(std::holds_alternative<sim::RanksMsg>(*classic_face));
-      EXPECT_EQ(sim::encode(*classic_face), sim::encode(exact));
+      c.push(gridless, exact_base);
+      const sim::PayloadRef gridless_face = gridless.wrap();
+      EXPECT_EQ(std::get<sim::RanksMsg>(*gridless_face).width, 0);
+      EXPECT_EQ(sim::encode(*gridless_face), sim::encode(exact));
     }
   }
 }

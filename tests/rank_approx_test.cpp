@@ -16,6 +16,13 @@ using sim::Id;
 const sim::SystemParams kParams{.n = 7, .t = 2};
 const Rational kDelta = delta(kParams);
 
+/// A vote of exact entries, in the given (possibly unsorted) order.
+sim::RanksMsg exact_ranks(std::initializer_list<std::pair<Id, Rational>> entries) {
+  sim::RanksMsg msg;
+  for (const auto& [id, rank] : entries) msg.push_exact(id, rank);
+  return msg;
+}
+
 RankMap ranks_of(std::initializer_list<std::pair<Id, Rational>> entries) {
   RankMap map;
   for (const auto& [id, rank] : entries) map.emplace(id, rank);
@@ -27,7 +34,7 @@ RankMap ranks_of(std::initializer_list<std::pair<Id, Rational>> entries) {
 // ---------------------------------------------------------------------------
 
 TEST(DecodeVote, AcceptsWellFormedSortedEntries) {
-  sim::RanksMsg msg{{{1, Rational(1)}, {5, Rational(2)}, {9, Rational(3)}}};
+  const sim::RanksMsg msg = exact_ranks({{1, Rational(1)}, {5, Rational(2)}, {9, Rational(3)}});
   RankMap out;
   EXPECT_TRUE(decode_vote(msg, kParams, {}, out));
   EXPECT_EQ(out.size(), 3u);
@@ -35,36 +42,35 @@ TEST(DecodeVote, AcceptsWellFormedSortedEntries) {
 }
 
 TEST(DecodeVote, RejectsUnsortedIds) {
-  sim::RanksMsg msg{{{5, Rational(1)}, {1, Rational(2)}}};
+  const sim::RanksMsg msg = exact_ranks({{5, Rational(1)}, {1, Rational(2)}});
   RankMap out;
   EXPECT_FALSE(decode_vote(msg, kParams, {}, out));
 }
 
 TEST(DecodeVote, RejectsDuplicateIds) {
-  sim::RanksMsg msg{{{5, Rational(1)}, {5, Rational(2)}}};
+  const sim::RanksMsg msg = exact_ranks({{5, Rational(1)}, {5, Rational(2)}});
   RankMap out;
   EXPECT_FALSE(decode_vote(msg, kParams, {}, out));
 }
 
 TEST(DecodeVote, RejectsEntryCountSpam) {
   sim::RanksMsg msg;
-  for (int i = 0; i < kParams.n + kParams.t + 1; ++i) {
-    msg.entries.push_back({i + 1, Rational(i + 1)});
-  }
+  for (int i = 0; i < kParams.n + kParams.t + 1; ++i) msg.push_exact(i + 1, Rational(i + 1));
   RankMap out;
   EXPECT_FALSE(decode_vote(msg, kParams, {}, out));
   // One fewer entry fits the bound.
-  msg.entries.pop_back();
+  msg.ids.pop_back();
+  msg.exacts.pop_back();
   EXPECT_TRUE(decode_vote(msg, kParams, {}, out));
 }
 
 TEST(DecodeVote, RejectsOversizedRankEncodings) {
   RenamingOptions options;
   options.max_rank_bits = 64;
-  sim::RanksMsg msg{{{1, Rational(BigInt(1), BigInt(1) << 128)}}};
+  const sim::RanksMsg msg = exact_ranks({{1, Rational(BigInt(1), BigInt(1) << 128)}});
   RankMap out;
   EXPECT_FALSE(decode_vote(msg, kParams, options, out));
-  sim::RanksMsg small{{{1, Rational::of(1, 3)}}};
+  const sim::RanksMsg small = exact_ranks({{1, Rational::of(1, 3)}});
   EXPECT_TRUE(decode_vote(small, kParams, options, out));
 }
 

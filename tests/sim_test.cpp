@@ -320,9 +320,11 @@ TEST(Runner, ObserverSeesEveryRound) {
 }
 
 TEST(Payload, WireBitsReflectContentSize) {
-  EXPECT_LT(wire_bits(IdMsg{1}), wire_bits(RanksMsg{{{1, numeric::Rational(1)}}}));
-  RanksMsg two{{{1, numeric::Rational(1)}, {2, numeric::Rational(2)}}};
-  RanksMsg one{{{1, numeric::Rational(1)}}};
+  RanksMsg one;
+  one.push_exact(1, numeric::Rational(1));
+  RanksMsg two = one;
+  two.push_exact(2, numeric::Rational(2));
+  EXPECT_LT(wire_bits(IdMsg{1}), wire_bits(one));
   EXPECT_GT(wire_bits(two), wire_bits(one));
   MultiEchoMsg echo{{1, 2, 3}};
   EXPECT_EQ(wire_bits(echo), 8u + 32u + 3u * 64u);

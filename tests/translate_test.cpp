@@ -207,9 +207,10 @@ class OmissionAttacker final : public sim::ProcessBehavior {
   void on_send(sim::Round round, sim::Outbox& out) override {
     const sim::Round sim_round = (round + 1) / 2;
     const bool is_cast_round = round % 2 == 1;
+    sim::RanksMsg vote;
+    vote.push_exact(claimed_id_, numeric::Rational(1));
     const sim::Payload inner_payload =
-        sim_round == 1 ? sim::Payload(sim::IdMsg{claimed_id_})
-                       : sim::Payload(sim::RanksMsg{{{claimed_id_, numeric::Rational(1)}}});
+        sim_round == 1 ? sim::Payload(sim::IdMsg{claimed_id_}) : sim::Payload(std::move(vote));
     const std::vector<std::uint8_t> blob = sim::encode(inner_payload);
     if (is_cast_round) {
       // Rotate which half hears the cast, round after round.
