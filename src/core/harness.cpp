@@ -14,6 +14,7 @@
 #include "baselines/crash_renaming.h"
 #include "core/fast_renaming.h"
 #include "core/op_renaming.h"
+#include "core/voting_kernel.h"
 #include "obs/prof/phase_profile.h"
 #include "obs/prof/profiler.h"
 #include "obs/telemetry.h"
@@ -205,6 +206,11 @@ ScenarioResult run_scenario(const ScenarioConfig& config) {
   if (config.algorithm == Algorithm::kOpRenamingConstantTime) {
     options.approximation_iterations = kConstantTimeIterations;
   }
+  // One voting-step cache for every fixed-kernel process this instance
+  // builds: correct ones, restarted ones and Byzantine inner ones. It
+  // outlives the network that owns them.
+  ViewCache view_cache;
+  options.view_cache = &view_cache;
 
   std::vector<std::unique_ptr<sim::ProcessBehavior>> behaviors;
   behaviors.reserve(static_cast<std::size_t>(params.n));

@@ -115,7 +115,8 @@ struct ScenarioResult {
 /// with DISTINCT ScenarioConfig objects, and the result for a given
 /// config is bit-identical regardless of what runs next to it:
 ///  - every piece of run state (network, behaviors, RNG streams, metrics,
-///    event log) is constructed inside the call and owned by its frame;
+///    event log, the voting-step ViewCache) is constructed inside the
+///    call and owned by its frame; config.options.view_cache is ignored;
 ///  - there are no mutable globals anywhere under src/{sim,core,
 ///    adversary,aa,rbc,consensus,baselines,translate,numeric}: the only
 ///    function-local static is the adversary registry's const map, whose

@@ -77,6 +77,10 @@ class OpRenamingProcess final : public sim::ProcessBehavior {
   /// The kernel actually running (an over-budget instance downgrades
   /// kFixed/kCheck to kExact).
   [[nodiscard]] RankKernel rank_kernel() const noexcept { return kernel_; }
+  /// The voting-step cache this process steps through, if any.
+  [[nodiscard]] const ViewCache* view_cache() const noexcept {
+    return engine_.has_value() && engine_->cached() ? options_.view_cache : nullptr;
+  }
 
  private:
   void assign_initial_ranks();

@@ -11,6 +11,8 @@
 
 namespace byzrename::core {
 
+class ViewCache;
+
 /// The rank stretch factor delta = 1 + 1/(3(N+t)) (Alg. 1, line 02).
 /// Large enough that ranks one position apart stay separated through the
 /// approximation error the voting phase leaves behind.
@@ -113,6 +115,11 @@ struct RenamingOptions {
   /// stream breaks order preservation — the paper's Section IV-B
   /// motivation. Never disable this in real use.
   bool validate_votes = true;
+  /// Voting-step cache shared by the fixed-kernel processes of one
+  /// instance (core/voting_kernel.h). run_scenario attaches one per run;
+  /// null, the default, steps every process on its own. Never set it to
+  /// a cache another thread uses.
+  ViewCache* view_cache = nullptr;
 };
 
 /// True iff (n, t) satisfies Alg. 1's resilience requirement N > 3t.

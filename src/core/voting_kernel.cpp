@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <bit>
+#include <cstdint>
+#include <functional>
 #include <stdexcept>
 
 namespace byzrename::core {
@@ -294,6 +296,164 @@ sim::PayloadRef VoteBuilder::wrap() {
 }
 
 // ---------------------------------------------------------------------------
+// ViewCache
+// ---------------------------------------------------------------------------
+
+namespace {
+
+std::uint64_t mix(std::uint64_t hash, std::uint64_t value) noexcept {
+  hash = (hash ^ value) * 0x9e3779b97f4a7c15ull;
+  return hash ^ (hash >> 29);
+}
+
+std::uint64_t address_of(const sim::Payload* payload) noexcept {
+  return static_cast<std::uint64_t>(reinterpret_cast<std::uintptr_t>(payload));
+}
+
+}  // namespace
+
+void ViewCache::Generation::clear() {
+  entries.clear();
+  votes.clear();
+  run_lengths.clear();
+  states.clear();
+}
+
+bool ViewCache::join(const Domain& domain) {
+  if (!domain_.has_value()) {
+    domain_ = domain;
+    link_stamp_.assign(static_cast<std::size_t>(domain.n), 0);
+  }
+  return *domain_ == domain;
+}
+
+std::uint32_t ViewCache::intern_timely(const std::vector<Id>& timely, std::uint32_t hint) {
+  if (hint < timely_sets_.size() && timely_sets_[hint] == timely) return hint;
+  for (std::uint32_t k = 0; k < timely_sets_.size(); ++k) {
+    if (timely_sets_[k] == timely) return k;
+  }
+  timely_sets_.push_back(timely);
+  return static_cast<std::uint32_t>(timely_sets_.size() - 1);
+}
+
+void ViewCache::advance(int epoch) {
+  const int current = gens_[cur_].epoch;
+  if (epoch <= current) return;
+  gens_[cur_ ^ 1].clear();
+  if (epoch == current + 1) {
+    cur_ ^= 1;
+  } else {
+    gens_[cur_].clear();
+  }
+  gens_[cur_].epoch = epoch;
+}
+
+bool ViewCache::probe(const sim::PayloadRef& state, std::uint32_t timely,
+                      const sim::Inbox& inbox) {
+  ++probe_serial_;
+  inbox_votes_.clear();
+  runs_.clear();
+  sim::LinkIndex last = -1;
+  for (const sim::Delivery& d : inbox) {
+    if (!std::holds_alternative<sim::RanksMsg>(*d.payload)) continue;
+    if (runs_.empty() || d.link != last) {
+      int& stamp = link_stamp_[static_cast<std::size_t>(d.link)];
+      if (stamp == probe_serial_) return false;  // the link's run was interrupted
+      stamp = probe_serial_;
+      runs_.push_back({static_cast<std::uint32_t>(inbox_votes_.size()), 0});
+      last = d.link;
+    }
+    inbox_votes_.push_back(&d.payload);
+    ++runs_.back().length;
+  }
+
+  // The step reads the runs as a multiset, so any total order on them
+  // is canonical: by object address, lexicographically.
+  const auto address_less = [](const sim::PayloadRef* a, const sim::PayloadRef* b) {
+    return std::less<const sim::Payload*>{}(&**a, &**b);
+  };
+  std::sort(runs_.begin(), runs_.end(), [&](const Run& a, const Run& b) {
+    const auto* first_a = inbox_votes_.data() + a.begin;
+    const auto* first_b = inbox_votes_.data() + b.begin;
+    return std::lexicographical_compare(first_a, first_a + a.length, first_b,
+                                        first_b + b.length, address_less);
+  });
+
+  key_state_ = &state;
+  key_timely_ = timely;
+  key_votes_.clear();
+  key_lengths_.clear();
+  std::uint64_t hash = mix(mix(address_of(&*state), timely), runs_.size());
+  for (const Run& run : runs_) {
+    key_lengths_.push_back(run.length);
+    hash = mix(hash, run.length);
+    for (std::uint32_t i = 0; i < run.length; ++i) {
+      const sim::PayloadRef* vote = inbox_votes_[run.begin + i];
+      key_votes_.push_back(vote);
+      hash = mix(hash, address_of(&**vote));
+    }
+  }
+  key_hash_ = hash;
+  return true;
+}
+
+bool ViewCache::matches(const Generation& gen, const Entry& entry) const {
+  if (entry.hash != key_hash_ || entry.state.address != &**key_state_ ||
+      entry.timely != key_timely_ || entry.runs != key_lengths_.size() ||
+      entry.votes != key_votes_.size()) {
+    return false;
+  }
+  for (std::size_t r = 0; r < key_lengths_.size(); ++r) {
+    if (gen.run_lengths[entry.first_run + r] != key_lengths_[r]) return false;
+  }
+  // An address names the object it was pinned for only while that
+  // object lives.
+  for (std::size_t v = 0; v < key_votes_.size(); ++v) {
+    const Pinned& vote = gen.votes[entry.first_vote + v];
+    if (vote.address != &**key_votes_[v] || !vote.pin.alive()) return false;
+  }
+  return entry.state.pin.alive();
+}
+
+const ViewCache::Entry* ViewCache::find() {
+  for (const Entry& entry : gens_[cur_].entries) {
+    if (matches(gens_[cur_], entry)) return &entry;
+  }
+  const Generation& prev = gens_[cur_ ^ 1];
+  for (const Entry& entry : prev.entries) {
+    // A view from the previous step recurs once states stop moving:
+    // carry it into the current generation so it outlives the next
+    // eviction.
+    if (matches(prev, entry)) return &add_entry(entry.state, entry.next, entry.rejected);
+  }
+  return nullptr;
+}
+
+void ViewCache::insert(const sim::PayloadRef& next, int rejected) {
+  (void)add_entry({&**key_state_, key_state_->pin()}, next, rejected);
+}
+
+const ViewCache::Entry& ViewCache::add_entry(const Pinned& state, const sim::PayloadRef& next,
+                                             int rejected) {
+  // The key is the probed one (a promoted entry matched it exactly), so
+  // the pins come from the probe: they name the same objects.
+  Generation& gen = gens_[cur_];
+  Entry& entry = gen.entries.emplace_back();
+  entry.hash = key_hash_;
+  entry.state = state;
+  entry.timely = key_timely_;
+  entry.first_run = static_cast<std::uint32_t>(gen.run_lengths.size());
+  entry.runs = static_cast<std::uint32_t>(key_lengths_.size());
+  entry.first_vote = static_cast<std::uint32_t>(gen.votes.size());
+  entry.votes = static_cast<std::uint32_t>(key_votes_.size());
+  entry.next = next;
+  entry.rejected = rejected;
+  gen.run_lengths.insert(gen.run_lengths.end(), key_lengths_.begin(), key_lengths_.end());
+  for (const sim::PayloadRef* vote : key_votes_) gen.votes.push_back({&**vote, vote->pin()});
+  return entry;
+}
+
+// ---------------------------------------------------------------------------
 // FixedVotingEngine
 // ---------------------------------------------------------------------------
 
@@ -311,6 +471,16 @@ FixedVotingEngine::FixedVotingEngine(sim::SystemParams params, RenamingOptions o
   bits_always_ok_ =
       spec_.ok && 64 * static_cast<std::size_t>(w_) - 1 + spec_.scale_bits + 2 <=
                       options_.max_rank_bits;
+  if (options_.view_cache != nullptr && spec_.ok) {
+    const ViewCache::Domain domain{params_.n,
+                                   params_.t,
+                                   w_,
+                                   spec_.scale,
+                                   options_.max_rank_bits,
+                                   options_.max_vote_entries,
+                                   options_.validate_votes};
+    if (options_.view_cache->join(domain)) cache_ = options_.view_cache;
+  }
 }
 
 void FixedVotingEngine::assign_initial_ranks(const std::set<Id>& accepted) {
@@ -330,9 +500,14 @@ void FixedVotingEngine::assign_initial_ranks(const std::set<Id>& accepted) {
     nums_.insert(nums_.end(), value, value + w_);
     is_exact_.push_back(0);
   }
+  if (cache_ != nullptr) state_ = intern_state();
 }
 
 sim::PayloadRef FixedVotingEngine::encode_ranks() const {
+  return state_ ? state_ : encode_columns();
+}
+
+sim::PayloadRef FixedVotingEngine::encode_columns() const {
   // The vote is a copy of the state columns. An override never fits the
   // grid (push_override's callers see to that), so it is a side entry.
   sim::RanksMsg msg{w_, spec_.scale, ids_, nums_, {}};
@@ -342,6 +517,47 @@ sim::PayloadRef FixedVotingEngine::encode_ranks() const {
     }
   }
   return sim::PayloadRef(std::move(msg));
+}
+
+sim::PayloadRef FixedVotingEngine::intern_state() {
+  std::uint64_t hash = mix(ids_.size(), overrides_.size());
+  for (const Id id : ids_) hash = mix(hash, id);
+  for (const limb_t limb : nums_) hash = mix(hash, limb);
+  // The vote encode_columns would build: same columns, same side list.
+  const auto same = [this](const sim::RanksMsg& vote) {
+    if (vote.ids != ids_ || vote.nums != nums_ || vote.exacts.size() != overrides_.size()) {
+      return false;
+    }
+    for (const auto& [k, value] : vote.exacts) {
+      if (is_exact_[k] == 0 || overrides_.at(ids_[k]) != value) return false;
+    }
+    return true;
+  };
+  sim::PayloadRef state = cache_->find_state(hash, same);
+  if (!state) {
+    state = encode_columns();
+    cache_->add_state(hash, state);
+  }
+  return state;
+}
+
+void FixedVotingEngine::load(const sim::RanksMsg& next, std::set<Id>& accepted) {
+  std::size_t kept = 0;
+  for (const Id id : ids_) {
+    if (kept < next.ids.size() && next.ids[kept] == id) {
+      ++kept;
+    } else {
+      accepted.erase(id);
+    }
+  }
+  ids_.assign(next.ids.begin(), next.ids.end());
+  nums_.assign(next.nums.begin(), next.nums.end());
+  is_exact_.assign(ids_.size(), 0);
+  overrides_.clear();
+  for (const auto& [k, value] : next.exacts) {
+    is_exact_[k] = 1;
+    overrides_.emplace(ids_[k], value);
+  }
 }
 
 bool FixedVotingEngine::rank_bits_ok(const limb_t* num) const {
@@ -487,10 +703,36 @@ void FixedVotingEngine::push_override(Id id, Rational value) {
 
 void FixedVotingEngine::step(const sim::Inbox& inbox, const std::set<Id>& timely,
                              std::set<Id>& accepted, int& rejected_votes) {
-  const int n = params_.n;
-  const int t = params_.t;
   ++step_serial_;
   timely_flat_.assign(timely.begin(), timely.end());
+  if (cache_ == nullptr) {
+    compute(inbox, accepted, rejected_votes);
+    return;
+  }
+  cache_->advance(step_serial_);
+  ++cache_->lookups_;
+  // A process restarted past round 4 votes without initial ranks.
+  if (!state_) state_ = intern_state();
+  timely_key_ = cache_->intern_timely(timely_flat_, timely_key_);
+  const bool keyed = cache_->probe(state_, timely_key_, inbox);
+  if (const ViewCache::Entry* hit = keyed ? cache_->find() : nullptr) {
+    load(std::get<sim::RanksMsg>(*hit->next), accepted);
+    rejected_votes += hit->rejected;
+    state_ = hit->next;
+    return;
+  }
+  ++cache_->computed_;
+  const int rejected_before = rejected_votes;
+  compute(inbox, accepted, rejected_votes);
+  sim::PayloadRef next = intern_state();
+  if (keyed) cache_->insert(next, rejected_votes - rejected_before);
+  state_ = std::move(next);
+}
+
+void FixedVotingEngine::compute(const sim::Inbox& inbox, std::set<Id>& accepted,
+                                int& rejected_votes) {
+  const int n = params_.n;
+  const int t = params_.t;
   votes_.clear();
   foreign_.clear();
 

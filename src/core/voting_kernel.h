@@ -98,6 +98,144 @@ class VoteBuilder {
   sim::RanksMsg msg_;
 };
 
+/// Computes each distinct process view of one Alg. 1 instance once. A
+/// fixed-kernel voting step is a pure function of the engine's state,
+/// its timely set and the multiset of per-link vote runs it receives:
+/// ballots are sorted before averaging, and a link admits the first
+/// valid vote of its run. So processes with equal views share one step.
+/// The first computes it; the rest load its successor state and its
+/// rejected-vote count.
+///
+/// Keys compare payload objects by identity and hits need full key
+/// equality, never a bare hash match. An entry pins the objects its key
+/// names (sim::PayloadRef::Pin) and matches only while they are alive:
+/// a reused address never matches, and a Byzantine vote is still freed
+/// with its last delivery. States are interned by content, so one class
+/// of processes broadcasts one vote object, and classes that converge
+/// merge again. Entries and states from before the previous voting step
+/// are dropped, and storage is pooled, so the cache holds O(classes)
+/// entries. Hits, misses and evictions follow from object identity and
+/// step order only, never from addresses. Single-threaded: one cache
+/// per instance, attached through RenamingOptions::view_cache.
+class ViewCache {
+ public:
+  ViewCache() = default;
+  ViewCache(const ViewCache&) = delete;
+  ViewCache& operator=(const ViewCache&) = delete;
+
+  /// Voting steps routed through the cache.
+  [[nodiscard]] std::uint64_t lookups() const noexcept { return lookups_; }
+  /// Voting steps the cache computed rather than loaded.
+  [[nodiscard]] std::uint64_t computed() const noexcept { return computed_; }
+
+ private:
+  friend class FixedVotingEngine;
+
+  /// Everything a step depends on besides its key. The first engine
+  /// sets it; an engine that differs runs uncached.
+  struct Domain {
+    int n = 0;
+    int t = 0;
+    std::int32_t width = 0;
+    std::array<numeric::limb_t, numeric::kFixedRankLimbs> scale{};
+    std::size_t max_rank_bits = 0;
+    int max_vote_entries = 0;
+    bool validate_votes = true;
+    friend bool operator==(const Domain&, const Domain&) = default;
+  };
+
+  /// A payload named by address, and pinned so the address cannot name
+  /// another payload while the entry matches.
+  struct Pinned {
+    const sim::Payload* address = nullptr;
+    sim::PayloadRef::Pin pin;
+  };
+
+  struct Entry {
+    std::uint64_t hash = 0;
+    Pinned state;                    ///< key: the engine's state vote
+    std::uint32_t timely = 0;        ///< key: interned timely set
+    std::uint32_t first_run = 0;     ///< key: run lengths, in Generation::run_lengths
+    std::uint32_t runs = 0;
+    std::uint32_t first_vote = 0;    ///< key: the runs' votes back to back
+    std::uint32_t votes = 0;
+    sim::PayloadRef next;            ///< result: the successor state
+    int rejected = 0;                ///< result: votes rejected
+  };
+
+  /// The entries and interned states of one voting step.
+  struct Generation {
+    int epoch = 0;
+    std::vector<Entry> entries;
+    std::vector<Pinned> votes;
+    std::vector<std::uint32_t> run_lengths;
+    /// Interned states by content hash: the only payloads the cache
+    /// keeps alive, besides entry results.
+    std::vector<std::pair<std::uint64_t, sim::PayloadRef>> states;
+    void clear();
+  };
+
+  struct Run {
+    std::uint32_t begin = 0;
+    std::uint32_t length = 0;
+  };
+
+  [[nodiscard]] bool join(const Domain& domain);
+  /// Index of the interned copy of `timely`; `hint` is tried first.
+  [[nodiscard]] std::uint32_t intern_timely(const std::vector<sim::Id>& timely,
+                                            std::uint32_t hint);
+  /// Moves to voting step `epoch`: a step later keeps the current
+  /// generation as the previous one, a larger jump drops both.
+  void advance(int epoch);
+  /// Builds the key of a step. False when a link's deliveries are not
+  /// contiguous, as the Inbox contract promises: the step then runs
+  /// uncached.
+  [[nodiscard]] bool probe(const sim::PayloadRef& state, std::uint32_t timely,
+                           const sim::Inbox& inbox);
+  /// The entry matching the probed key, moved into the current
+  /// generation, or null.
+  [[nodiscard]] const Entry* find();
+  void insert(const sim::PayloadRef& next, int rejected);
+  /// An interned state with this content hash that `same` accepts, or
+  /// an empty ref.
+  template <typename Same>
+  [[nodiscard]] sim::PayloadRef find_state(std::uint64_t hash, Same&& same) {
+    for (const std::size_t g : {cur_, cur_ ^ 1}) {
+      for (const auto& [state_hash, state] : gens_[g].states) {
+        if (state_hash != hash || !same(std::get<sim::RanksMsg>(*state))) continue;
+        sim::PayloadRef found = state;
+        if (g != cur_) gens_[cur_].states.emplace_back(hash, found);
+        return found;
+      }
+    }
+    return {};
+  }
+  void add_state(std::uint64_t hash, const sim::PayloadRef& state) {
+    gens_[cur_].states.emplace_back(hash, state);
+  }
+  [[nodiscard]] bool matches(const Generation& gen, const Entry& entry) const;
+  const Entry& add_entry(const Pinned& state, const sim::PayloadRef& next, int rejected);
+
+  std::optional<Domain> domain_;
+  std::vector<std::vector<sim::Id>> timely_sets_;
+  std::array<Generation, 2> gens_;
+  std::size_t cur_ = 0;
+
+  // --- probe scratch: the key of the step in flight ------------------
+  std::vector<const sim::PayloadRef*> inbox_votes_;  ///< RanksMsg deliveries, inbox order
+  std::vector<Run> runs_;
+  std::vector<int> link_stamp_;  ///< stamped with probe_serial_, never cleared
+  int probe_serial_ = 0;
+  std::vector<const sim::PayloadRef*> key_votes_;  ///< runs in canonical order
+  std::vector<std::uint32_t> key_lengths_;
+  const sim::PayloadRef* key_state_ = nullptr;
+  std::uint32_t key_timely_ = 0;
+  std::uint64_t key_hash_ = 0;
+
+  std::uint64_t lookups_ = 0;
+  std::uint64_t computed_ = 0;
+};
+
 /// Fixed-point voting engine: the SoA rank state of one renaming
 /// process plus one Alg. 3 step over an inbox. Ranks live as `width`
 /// two's-complement limbs over the instance scale S; the rare values
@@ -106,6 +244,11 @@ class VoteBuilder {
 /// exact oracle — which makes every observable output (decisions,
 /// accepted sets, rejected counts, wire bytes) bit-identical to the
 /// pure exact-Rational path while the honest fast path runs heap-free.
+///
+/// With options.view_cache set, the engine steps through that cache:
+/// its state is also held as one interned vote, which encode_ranks
+/// returns, and a step whose view another engine already computed
+/// loads that result. Without one it computes every step itself.
 class FixedVotingEngine {
  public:
   FixedVotingEngine(sim::SystemParams params, RenamingOptions options, int iterations);
@@ -120,8 +263,12 @@ class FixedVotingEngine {
   void assign_initial_ranks(const std::set<sim::Id>& accepted);
 
   /// This round's broadcast: the state columns, with the ranks carried
-  /// as overrides on the side list.
+  /// as overrides on the side list. With a cache, the interned state
+  /// vote itself.
   [[nodiscard]] sim::PayloadRef encode_ranks() const;
+
+  /// True when the engine steps through a ViewCache.
+  [[nodiscard]] bool cached() const noexcept { return cache_ != nullptr; }
 
   /// Visits the current ranks in id order.
   template <typename Visit>
@@ -168,6 +315,14 @@ class FixedVotingEngine {
     std::uint32_t exact_cursor = 0;
   };
 
+  /// The step itself, over timely_flat_.
+  void compute(const sim::Inbox& inbox, std::set<sim::Id>& accepted, int& rejected_votes);
+  [[nodiscard]] sim::PayloadRef encode_columns() const;
+  /// The cache's vote with the current columns, made on first sight.
+  [[nodiscard]] sim::PayloadRef intern_state();
+  /// Takes `next`, a successor of the current state, as the state; ids
+  /// it lacks leave `accepted`, as compute drops them.
+  void load(const sim::RanksMsg& next, std::set<sim::Id>& accepted);
   /// Admits a vote that passes the checks decode_vote + is_valid_ranks
   /// apply to its values.
   [[nodiscard]] bool admit(const sim::RanksMsg& msg);
@@ -190,6 +345,11 @@ class FixedVotingEngine {
   std::vector<numeric::limb_t> nums_;
   std::vector<unsigned char> is_exact_;
   std::map<sim::Id, numeric::Rational> overrides_;
+
+  // --- view sharing (null cache: unused) -----------------------------
+  ViewCache* cache_ = nullptr;
+  sim::PayloadRef state_;        ///< the interned vote of the columns
+  std::uint32_t timely_key_ = 0;
 
   std::vector<sim::Id> next_ids_;
   std::vector<numeric::limb_t> next_nums_;

@@ -176,6 +176,26 @@ class PayloadRef {
   explicit(std::is_lvalue_reference_v<T>) PayloadRef(T&& payload)
       : ptr_(std::make_shared<const Shared>(std::forward<T>(payload))) {}
 
+  /// A weak handle on a payload object: it tells whether the object is
+  /// still alive without keeping it alive. While it is, its address
+  /// names it and no other payload. Memo keys that compare payloads by
+  /// address hold pins, so a vote they name is freed with its last ref.
+  class Pin {
+   public:
+    Pin() = default;
+    [[nodiscard]] bool alive() const noexcept { return !ptr_.expired(); }
+
+   private:
+    friend class PayloadRef;
+    std::weak_ptr<const void> ptr_;
+  };
+
+  [[nodiscard]] Pin pin() const noexcept {
+    Pin pin;
+    pin.ptr_ = ptr_;
+    return pin;
+  }
+
   [[nodiscard]] const Payload& operator*() const noexcept { return ptr_->payload; }
   [[nodiscard]] const Payload* operator->() const noexcept { return &ptr_->payload; }
   [[nodiscard]] explicit operator bool() const noexcept { return ptr_ != nullptr; }

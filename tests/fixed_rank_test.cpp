@@ -12,6 +12,7 @@
 
 #include <algorithm>
 #include <array>
+#include <cstdint>
 #include <functional>
 #include <map>
 #include <optional>
@@ -25,6 +26,7 @@
 #include "aa/byzantine_aa.h"
 #include "adversary/adversary.h"
 #include "core/harness.h"
+#include "core/op_renaming.h"
 #include "core/params.h"
 #include "core/rank_approx.h"
 #include "core/voting_kernel.h"
@@ -35,6 +37,7 @@
 #include "obs/telemetry.h"
 #include "sim/codec.h"
 #include "sim/fault.h"
+#include "sim/network.h"
 #include "sim/payload.h"
 #include "sim/rng.h"
 
@@ -409,6 +412,169 @@ TEST(FixedVotingEngine, ExactLaneMatchesTheOracleStepByStep) {
 }
 
 // ---------------------------------------------------------------------------
+// ViewCache: a step loaded from the cache is the step an uncached engine
+// computes, whatever the permutation of link labels
+
+TEST(ViewCache, MatchesUncachedEngine) {
+  constexpr std::size_t kEngines = 3;
+  for (const int n : {4, 7, 13}) {
+    for (const bool validate : {true, false}) {
+      const int t = (n - 1) / 3;
+      const sim::SystemParams params{.n = n, .t = t};
+      const int iterations = core::default_approximation_iterations(t);
+      const FixedSpec other_grid = numeric::derive_fixed_spec(n, t, iterations + 1);
+      ASSERT_TRUE(other_grid.ok);
+      const Rational delta = core::delta(params);
+      for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+        SCOPED_TRACE("n=" + std::to_string(n) + " validate=" + std::to_string(validate) +
+                     " seed=" + std::to_string(seed));
+        sim::Rng rng(seed * 104729 + static_cast<std::uint64_t>(2 * n + (validate ? 1 : 0)));
+        core::ViewCache cache;
+        core::RenamingOptions plain_options;
+        plain_options.validate_votes = validate;
+        core::RenamingOptions cached_options = plain_options;
+        cached_options.view_cache = &cache;
+
+        std::set<sim::Id> initial;
+        for (int i = 0; i < n; ++i) initial.insert(100 + 10 * i + static_cast<sim::Id>(seed));
+        const std::set<sim::Id> timely = initial;
+        std::vector<core::FixedVotingEngine> plain;
+        std::vector<core::FixedVotingEngine> cached;
+        std::vector<std::set<sim::Id>> plain_accepted(kEngines, initial);
+        std::vector<std::set<sim::Id>> cached_accepted(kEngines, initial);
+        std::vector<int> plain_rejected(kEngines, 0);
+        std::vector<int> cached_rejected(kEngines, 0);
+        for (std::size_t k = 0; k < kEngines; ++k) {
+          plain.emplace_back(params, plain_options, iterations);
+          cached.emplace_back(params, cached_options, iterations);
+          ASSERT_FALSE(plain[k].cached());
+          ASSERT_TRUE(cached[k].cached());
+          plain[k].assign_initial_ranks(initial);
+          cached[k].assign_initial_ranks(initial);
+        }
+        const FixedSpec& grid = cached[0].spec();
+        std::array<limb_t, kFixedRankLimbs> top{};  // 2^(64w - 1) - 1
+        for (int i = 0; i < grid.width; ++i) top[static_cast<std::size_t>(i)] = ~limb_t{0};
+        top[static_cast<std::size_t>(grid.width - 1)] >>= 1;
+        const Rational past_top =
+            numeric::fixed_to_rational(top.data(), grid.width, grid.scale_big) + Rational(1);
+
+        // Kind 0 is an engine's own vote; 1 and 6 shift off the grid, 2
+        // and 3 by grid units (3 puts its last entry past the top), 4
+        // has no grid, 5 sits on another grid, 7 crowds its last entry
+        // (invalid when validating), 8 is unsorted and 9 over-long.
+        const auto face = [&](std::int64_t kind) -> sim::PayloadRef {
+          if (kind == 0) {
+            return cached[static_cast<std::size_t>(rng.uniform(0, kEngines - 1))].encode_ranks();
+          }
+          const core::RankMap base = cached[0].materialize();
+          core::VoteBuilder vote(kind == 4 ? nullptr : kind == 5 ? &other_grid : &grid, delta);
+          const Rational unit(BigInt(rng.uniform(1, 5)), grid.scale_big);
+          const Rational shift = kind == 1 || kind == 7 ? Rational::of(1, 7)
+                                 : kind == 2 || kind == 3 ? unit
+                                 : kind == 6              ? Rational::of(-3, 7)
+                                                          : Rational(0);
+          Rational previous;
+          for (const auto& [id, rank] : base) {
+            Rational value = rank + shift;
+            if (id == base.rbegin()->first && kind == 3) value = past_top;
+            if (id == base.rbegin()->first && kind == 7) value = previous + Rational::of(1, 7);
+            vote.push(id, value);
+            previous = value;
+          }
+          sim::PayloadRef built = vote.wrap();
+          if (kind < 8) return built;
+          sim::RanksMsg broken = std::get<sim::RanksMsg>(*built);
+          if (kind == 8 && broken.ids.size() >= 2) {
+            std::swap(broken.ids[0], broken.ids[1]);
+          } else {
+            while (broken.ids.size() <= static_cast<std::size_t>(n + t)) {
+              broken.ids.push_back(broken.ids.back() + 1000);
+              broken.nums.insert(broken.nums.end(), static_cast<std::size_t>(broken.width), 0);
+            }
+          }
+          return sim::PayloadRef(std::move(broken));
+        };
+
+        int shared_successors = 0;
+        for (int step = 0; step < iterations + 2; ++step) {
+          // One run per link: links below n - t send one vote (mostly an
+          // engine's own), the last t may stay silent, send the same
+          // vote twice, or send a malformed or invalid vote first.
+          std::vector<std::vector<sim::PayloadRef>> runs(static_cast<std::size_t>(n));
+          for (int link = 0; link < n; ++link) {
+            auto& run = runs[static_cast<std::size_t>(link)];
+            if (link < n - t) {
+              run.push_back(face(rng.uniform(0, 3) == 0 ? rng.uniform(1, 6) : 0));
+              continue;
+            }
+            const std::int64_t shape = rng.uniform(0, 4);
+            if (shape == 0) continue;
+            if (shape == 1) run.push_back(face(rng.uniform(7, 9)));
+            run.push_back(face(rng.uniform(0, 7)));
+            if (shape == 2) run.push_back(run.back());
+            if (shape == 3) run.push_back(face(rng.uniform(0, 9)));
+          }
+
+          std::vector<const sim::Payload*> before(kEngines);
+          std::vector<bool> varied(kEngines, false);
+          for (std::size_t k = 0; k < kEngines; ++k) {
+            before[k] = &*cached[k].encode_ranks();
+            std::vector<std::vector<sim::PayloadRef>> mine = runs;
+            if (k > 0 && rng.uniform(0, 2) == 0) {
+              // A view of its own: one link dropped or duplicated.
+              varied[k] = true;
+              auto& run = mine[static_cast<std::size_t>(rng.uniform(0, n - 1))];
+              if (run.empty() || rng.uniform(0, 1) == 0) {
+                run.clear();
+              } else {
+                run.push_back(run.front());
+              }
+            }
+            // Relabel the links, then deliver in link order, as the
+            // network does.
+            std::vector<int> label(static_cast<std::size_t>(n));
+            for (int i = 0; i < n; ++i) label[static_cast<std::size_t>(i)] = i;
+            std::shuffle(label.begin(), label.end(), rng.engine());
+            std::vector<const std::vector<sim::PayloadRef>*> by_link(static_cast<std::size_t>(n));
+            for (int i = 0; i < n; ++i) {
+              by_link[static_cast<std::size_t>(label[static_cast<std::size_t>(i)])] =
+                  &mine[static_cast<std::size_t>(i)];
+            }
+            sim::Inbox inbox;
+            for (int link = 0; link < n; ++link) {
+              for (const sim::PayloadRef& vote : *by_link[static_cast<std::size_t>(link)]) {
+                inbox.push_back({link, vote});
+              }
+            }
+
+            plain[k].step(inbox, timely, plain_accepted[k], plain_rejected[k]);
+            cached[k].step(inbox, timely, cached_accepted[k], cached_rejected[k]);
+            SCOPED_TRACE("step " + std::to_string(step) + " engine " + std::to_string(k));
+            ASSERT_EQ(cached[k].materialize(), plain[k].materialize());
+            ASSERT_EQ(cached_accepted[k], plain_accepted[k]);
+            ASSERT_EQ(cached_rejected[k], plain_rejected[k]);
+            ASSERT_EQ(std::get<sim::RanksMsg>(*cached[k].encode_ranks()),
+                      std::get<sim::RanksMsg>(*plain[k].encode_ranks()));
+            ASSERT_EQ(sim::encode(*cached[k].encode_ranks()),
+                      sim::encode(*plain[k].encode_ranks()));
+          }
+          // Engines that started equal and saw the same runs end on one
+          // vote object.
+          for (std::size_t k = 1; k < kEngines; ++k) {
+            if (varied[k] || before[k] != before[0]) continue;
+            EXPECT_EQ(&*cached[k].encode_ranks(), &*cached[0].encode_ranks());
+            ++shared_successors;
+          }
+        }
+        EXPECT_GT(shared_successors, 0);
+        EXPECT_LT(cache.computed(), cache.lookups());
+      }
+    }
+  }
+}
+
+// ---------------------------------------------------------------------------
 // VoteBuilder: Byzantine faces keep an entry on the grid exactly when it fits
 
 TEST(VoteBuilder, FacesMatchTheirExactValuesOnAndOffTheGrid) {
@@ -623,6 +789,80 @@ TEST(CheckKernel, LockstepShadowAgreesOnAdversarySweep) {
     const core::ScenarioResult result = core::run_scenario(config);
     EXPECT_TRUE(result.run.terminated) << adversary;
   }
+}
+
+TEST(CheckKernel, LockstepShadowAgreesUnderFaultPlans) {
+  // Fault plans give processes views of their own (a dropped, doubled
+  // or late vote, a rebuilt process), so cached steps split into many
+  // classes; kCheck's exact shadow checks every one of them. At seed 31
+  // the scrambled restart resumes past round 4, so that process votes
+  // with no initial ranks.
+  const char* plans[] = {
+      "dup:0.2",          "drop:0.1",          "delay:0.3x2",          "crash:2@6..8",
+      "forge:3x0.5@5..8", "restart:1@6,reset", "restart:1@7,scramble",
+  };
+  for (const int n : {16, 22}) {
+    for (const char* plan : plans) {
+      for (const char* adversary : {"silent", "split"}) {
+        core::ScenarioConfig config = op_config(n, adversary, 31);
+        config.options.rank_kernel = core::RankKernel::kCheck;
+        config.fault_plan = sim::parse_fault_plan(plan);
+        config.extra_rounds = 8;  // injected faults may defer decisions
+        const core::ScenarioResult result = core::run_scenario(config);
+        EXPECT_TRUE(result.run.terminated)
+            << "n=" << n << " plan=" << plan << " adversary=" << adversary;
+      }
+    }
+  }
+  for (const char* adversary : {"silent", "split"}) {
+    core::ScenarioConfig config = op_config(64, adversary, 31);
+    config.options.rank_kernel = core::RankKernel::kCheck;
+    EXPECT_TRUE(core::run_scenario(config).report.all_ok()) << adversary;
+  }
+}
+
+// ---------------------------------------------------------------------------
+// View sharing inside run_scenario
+
+/// Voting steps the instance's ViewCache computed in each voting round,
+/// read from correct process 0 after every round.
+std::vector<std::uint64_t> computed_per_voting_round(core::ScenarioConfig config) {
+  std::vector<std::uint64_t> per_round;
+  std::uint64_t seen = 0;
+  config.observer = [&](sim::Round round, const sim::Network& network) {
+    if (round <= 4) return;
+    const auto* process = dynamic_cast<const core::OpRenamingProcess*>(&network.behavior(0));
+    if (process == nullptr || process->view_cache() == nullptr) {
+      per_round.push_back(~std::uint64_t{0});  // no cache attached
+      return;
+    }
+    per_round.push_back(process->view_cache()->computed() - seen);
+    seen = process->view_cache()->computed();
+  };
+  EXPECT_TRUE(core::run_scenario(config).report.all_ok());
+  return per_round;
+}
+
+TEST(ViewCache, EqualViewsShareOneStepPerRound) {
+  // N=64, t=21, 18 voting rounds. Without view sharing each round
+  // computes 64 steps under split (43 correct processes and the 21
+  // inner processes of the Byzantine team) and 43 under silent.
+  //  - split: the first round has three views: correct processes that
+  //    got the low face, those that got the high face, and the inner
+  //    processes, which get no faces. After it, the inner processes'
+  //    view recurs every round, because the views they read stop
+  //    moving; the two faced views name new face objects every round.
+  //  - silent: every correct process has one view, and it recurs every
+  //    round, because averaging equal ranks keeps them.
+  const std::vector<std::uint64_t> split = computed_per_voting_round(op_config(64, "split", 21));
+  const std::vector<std::uint64_t> silent =
+      computed_per_voting_round(op_config(64, "silent", 21));
+  std::vector<std::uint64_t> expected_split(18, 2);
+  expected_split[0] = 3;
+  std::vector<std::uint64_t> expected_silent(18, 0);
+  expected_silent[0] = 1;
+  EXPECT_EQ(split, expected_split);
+  EXPECT_EQ(silent, expected_silent);
 }
 
 // ---------------------------------------------------------------------------
