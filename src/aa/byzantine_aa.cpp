@@ -1,7 +1,8 @@
 #include "aa/byzantine_aa.h"
 
-#include <algorithm>
 #include <stdexcept>
+
+#include "core/rank_approx.h"
 
 namespace byzrename::aa {
 
@@ -11,11 +12,10 @@ using numeric::limb_t;
 using numeric::Rational;
 
 ByzantineAAProcess::ByzantineAAProcess(sim::SystemParams params, Rational initial, int rounds,
-                                       std::size_t max_value_bits, core::RankKernel kernel)
+                                       core::RankKernel kernel)
     : params_(params),
       value_(std::move(initial)),
       rounds_left_(rounds),
-      max_value_bits_(max_value_bits),
       kernel_(kernel),
       spec_(kernel == core::RankKernel::kExact
                 ? numeric::FixedSpec{}
@@ -47,7 +47,7 @@ void ByzantineAAProcess::on_receive(sim::Round, const sim::Inbox& inbox) {
   for (const sim::Delivery& d : inbox) {
     const auto* msg = std::get_if<sim::AAValueMsg>(&*d.payload);
     if (msg == nullptr) continue;
-    if (msg->value.encoded_bits() > max_value_bits_) continue;
+    if (msg->value.encoded_bits() > kMaxValueBits) continue;
     auto& stamp = link_stamp_[static_cast<std::size_t>(d.link)];
     if (stamp == round_serial_) continue;
     stamp = round_serial_;
@@ -55,45 +55,30 @@ void ByzantineAAProcess::on_receive(sim::Round, const sim::Inbox& inbox) {
   }
   // More than N entries cannot happen: links are distinct and there are N.
 
-  // select_t of the t/t-trimmed sorted ballot: global 0-based positions
-  // t, 2t, ..., and for t == 0 the entire ballot.
-  const std::int64_t picks = t > 0 ? (n - 2 * t - 1) / t + 1 : n;
-
   // Fixed lane: every admitted value (and the pad value) on the 1/S
   // grid within width — the steady state of integer-seeded AA.
   bool have_fixed = false;
   Rational fixed_value;
   if (kernel_ != core::RankKernel::kExact) {
-    const int w = spec_.width;
-    ballot_.resize(static_cast<std::size_t>(n) * static_cast<std::size_t>(w));
-    bool all_on_grid = true;
-    int count = 0;
-    for (const Rational* v : admitted_) {
-      if (numeric::rational_to_fixed(*v, spec_,
-                                     ballot_.data() + static_cast<std::size_t>(count) * w) !=
-          FixedConvert::kOk) {
-        all_on_grid = false;
-        break;
+    ballot_kernel_.prepare(spec_, n);
+    const bool all_on_grid = ballot_kernel_.fill([&](auto set) {
+      limb_t value[numeric::kFixedRankLimbs];
+      int count = 0;
+      for (const Rational* v : admitted_) {
+        if (numeric::rational_to_fixed(*v, spec_, value) != FixedConvert::kOk) return false;
+        set(count++, value);
       }
-      ++count;
-    }
-    if (all_on_grid && count < n) {
-      limb_t own[numeric::kFixedRankLimbs];
-      if (numeric::rational_to_fixed(value_, spec_, own) == FixedConvert::kOk) {
-        while (count < n) {
-          for (int i = 0; i < w; ++i) ballot_[static_cast<std::size_t>(count) * w + i] = own[i];
-          ++count;
-        }
-      } else {
-        all_on_grid = false;
+      if (count < n && numeric::rational_to_fixed(value_, spec_, value) != FixedConvert::kOk) {
+        return false;
       }
-    }
+      while (count < n) set(count++, value);
+      return true;
+    });
     if (all_on_grid) {
       limb_t result[numeric::kFixedRankLimbs];
       BigInt sum;
-      if (ballot_kernel_.average(spec_, ballot_.data(), n, result, sum) ==
-          core::FixedBallotKernel::Outcome::kOk) {
-        fixed_value = numeric::fixed_to_rational(result, w, spec_.scale_big);
+      if (ballot_kernel_.average(result, sum) == core::FixedBallotKernel::Outcome::kOk) {
+        fixed_value = numeric::fixed_to_rational(result, spec_.width, spec_.scale_big);
       } else {
         fixed_value = Rational(sum, BigInt(spec_.select_count) * spec_.scale_big);
       }
@@ -105,13 +90,7 @@ void ByzantineAAProcess::on_receive(sim::Round, const sim::Inbox& inbox) {
     exact_ballot_.clear();
     for (const Rational* v : admitted_) exact_ballot_.push_back(*v);
     while (static_cast<int>(exact_ballot_.size()) < n) exact_ballot_.push_back(value_);
-    std::sort(exact_ballot_.begin(), exact_ballot_.end());
-    Rational sum;
-    for (std::int64_t j = 0; j < picks; ++j) {
-      sum += exact_ballot_[t > 0 ? static_cast<std::size_t>(t) * static_cast<std::size_t>(1 + j)
-                                 : static_cast<std::size_t>(j)];
-    }
-    Rational exact_value = sum / Rational(picks);
+    Rational exact_value = core::trimmed_mean(exact_ballot_, t);
     if (have_fixed && fixed_value != exact_value) {
       throw std::logic_error("ByzantineAAProcess: fixed kernel diverged from the exact oracle");
     }

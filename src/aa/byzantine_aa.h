@@ -36,9 +36,12 @@ namespace byzrename::aa {
 /// throws on divergence.
 class ByzantineAAProcess final : public sim::ProcessBehavior {
  public:
+  /// Values whose encoding (Rational::encoded_bits) exceeds this are
+  /// discarded on receipt: Byzantine denominator inflation.
+  static constexpr std::size_t kMaxValueBits = std::size_t{1} << 16;
+
   /// @param rounds number of exchange rounds to run before halting.
   ByzantineAAProcess(sim::SystemParams params, numeric::Rational initial, int rounds,
-                     std::size_t max_value_bits = 1 << 16,
                      core::RankKernel kernel = core::RankKernel::kFixed);
 
   void on_send(sim::Round round, sim::Outbox& out) override;
@@ -56,7 +59,6 @@ class ByzantineAAProcess final : public sim::ProcessBehavior {
   sim::SystemParams params_;
   numeric::Rational value_;
   int rounds_left_;
-  std::size_t max_value_bits_;
   core::RankKernel kernel_;
   numeric::FixedSpec spec_;
   core::FixedBallotKernel ballot_kernel_;
@@ -68,7 +70,6 @@ class ByzantineAAProcess final : public sim::ProcessBehavior {
   std::vector<int> link_stamp_;
   int round_serial_ = 0;
   std::vector<const numeric::Rational*> admitted_;
-  std::vector<numeric::limb_t> ballot_;
   std::vector<numeric::Rational> exact_ballot_;
 };
 

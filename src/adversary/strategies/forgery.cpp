@@ -25,10 +25,6 @@ int selection_rounds(core::Algorithm algorithm) {
 
 }  // namespace
 
-std::vector<std::string> forgery_strategy_names() {
-  return {kForgeryStrategies.begin(), kForgeryStrategies.end()};
-}
-
 bool has_forgery_strategy(const std::string& name) {
   return std::find(kForgeryStrategies.begin(), kForgeryStrategies.end(), name) !=
          kForgeryStrategies.end();

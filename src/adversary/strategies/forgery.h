@@ -26,9 +26,6 @@ namespace byzrename::adversary {
 ///            correct ranking in the spoofed sender's name — the
 ///            strongest order attack expressible without equivocation
 ///
-/// All registered strategy names, sorted.
-[[nodiscard]] std::vector<std::string> forgery_strategy_names();
-
 /// True if @p name is a registered forgery strategy. The harness
 /// validates every ForgeRule's strategy up front with this.
 [[nodiscard]] bool has_forgery_strategy(const std::string& name);

@@ -4,7 +4,6 @@
 
 namespace byzrename::baselines {
 
-using numeric::Rational;
 using sim::Id;
 using sim::Inbox;
 using sim::Outbox;
@@ -13,7 +12,6 @@ using sim::Round;
 CrashRenamingProcess::CrashRenamingProcess(sim::SystemParams params, Id my_id,
                                            core::RenamingOptions options)
     : params_(params),
-      options_(options),
       iterations_(options.approximation_iterations >= 0
                       ? options.approximation_iterations
                       : core::default_approximation_iterations(params.t)),
@@ -39,11 +37,7 @@ void CrashRenamingProcess::on_receive(Round round, const Inbox& inbox) {
       if (!seen_links.insert(d.link).second) continue;
       accepted_.insert(msg->id);
     }
-    std::int64_t position = 0;
-    for (const Id id : accepted_) {
-      ++position;
-      ranks_.emplace(id, Rational(position) * delta_);
-    }
+    ranks_ = core::initial_ranks(accepted_, delta_);
     if (iterations_ == 0) decide();
     return;
   }
@@ -53,7 +47,7 @@ void CrashRenamingProcess::on_receive(Round round, const Inbox& inbox) {
     const auto* msg = std::get_if<sim::RanksMsg>(&*d.payload);
     if (msg == nullptr) continue;
     core::RankMap vote;
-    if (!core::decode_vote(*msg, params_, options_, vote)) continue;
+    if (!core::decode_vote(*msg, params_, vote)) continue;
     per_link.emplace(d.link, std::move(vote));
   }
   std::vector<core::RankMap> votes;

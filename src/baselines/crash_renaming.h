@@ -38,7 +38,6 @@ class CrashRenamingProcess final : public sim::ProcessBehavior {
   void decide();
 
   sim::SystemParams params_;
-  core::RenamingOptions options_;
   int iterations_;
   numeric::Rational delta_;
   sim::Id my_id_;

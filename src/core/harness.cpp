@@ -67,7 +67,7 @@ std::unique_ptr<sim::ProcessBehavior> make_behavior(Algorithm algorithm,
       const int rounds =
           options.approximation_iterations >= 0 ? options.approximation_iterations : 10;
       return std::make_unique<aa::ByzantineAAProcess>(params, numeric::Rational(id), rounds,
-                                                      std::size_t{1} << 16, options.rank_kernel);
+                                                      options.rank_kernel);
     }
   }
   throw std::invalid_argument("make_correct_behavior: unknown algorithm");

@@ -87,7 +87,7 @@ void OpRenamingProcess::exact_step(const Inbox& inbox, RankMap& ranks, std::set<
       continue;
     }
     RankMap vote;
-    if (!decode_vote(*msg, params_, options_, vote) ||
+    if (!decode_vote(*msg, params_, vote) ||
         (options_.validate_votes && !is_valid_ranks(selection_.timely(), vote, delta_))) {
       ++rejected;
       continue;
@@ -107,12 +107,7 @@ void OpRenamingProcess::assign_initial_ranks() {
   // ranks[id] := rank(accepted, id) * delta, rank being the 1-based
   // position in the sorted accepted set (Alg. 1, lines 26-28).
   if (kernel_ == RankKernel::kExact) {
-    ranks_.clear();
-    std::int64_t position = 0;
-    for (const Id id : accepted_) {  // std::set iterates in sorted order
-      ++position;
-      ranks_.emplace(id, Rational(position) * delta_);
-    }
+    ranks_ = initial_ranks(accepted_, delta_);
     return;
   }
   engine_->assign_initial_ranks(accepted_);
@@ -120,12 +115,7 @@ void OpRenamingProcess::assign_initial_ranks() {
   if (kernel_ == RankKernel::kCheck) {
     shadow_accepted_ = accepted_;
     shadow_rejected_ = rejected_votes_;
-    shadow_ranks_.clear();
-    std::int64_t position = 0;
-    for (const Id id : shadow_accepted_) {
-      ++position;
-      shadow_ranks_.emplace(id, Rational(position) * delta_);
-    }
+    shadow_ranks_ = initial_ranks(shadow_accepted_, delta_);
     if (engine_->materialize() != shadow_ranks_) {
       throw std::logic_error("OpRenamingProcess: fixed initial ranks diverged from exact");
     }

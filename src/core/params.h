@@ -79,30 +79,24 @@ enum class RankKernel {
   return std::nullopt;
 }
 
-/// Canonical token for a kernel (inverse of rank_kernel_from_token).
-[[nodiscard]] inline const char* rank_kernel_token(RankKernel kernel) noexcept {
-  switch (kernel) {
-    case RankKernel::kFixed: return "fixed";
-    case RankKernel::kExact: return "exact";
-    case RankKernel::kCheck: return "check";
-  }
-  return "fixed";
+/// Upper bound on the encoded size (Rational::encoded_bits) of any one
+/// rank a vote may carry. The paper bounds message size (Section IV-D),
+/// so honest votes are small; this guards the exact-rational arithmetic
+/// against Byzantine denominator inflation. Honest ranks after r
+/// iterations need about r*log2(N) + log2(3(N+t)) bits, far below it, and
+/// so does every value on a fixed-kernel grid (core/voting_kernel.cpp).
+inline constexpr std::size_t kMaxRankBits = 4096;
+
+/// Upper bound on the entries one vote may carry. Correct votes carry at
+/// most N+t-1 entries (Lemma IV.3); anything larger is Byzantine spam.
+[[nodiscard]] inline int max_vote_entries(const sim::SystemParams& params) noexcept {
+  return params.n + params.t;
 }
 
 /// Configuration of the order-preserving renaming algorithm (Alg. 1).
 struct RenamingOptions {
   /// Voting-phase iterations; -1 selects default_approximation_iterations.
   int approximation_iterations = -1;
-  /// Upper bound on the encoded size of any single rank a vote may carry.
-  /// The paper bounds message size (Section IV-D), so honest votes are
-  /// small; this guards the exact-rational arithmetic against Byzantine
-  /// denominator-inflation. Honest ranks after r iterations need about
-  /// r*log2(N) + log2(3(N+t)) bits, far below this default.
-  std::size_t max_rank_bits = 4096;
-  /// Upper bound on entries accepted in one vote. Correct votes carry at
-  /// most N+t-1 entries (Lemma IV.3); anything larger is Byzantine spam.
-  /// -1 selects n + t.
-  int max_vote_entries = -1;
   /// Voting-phase arithmetic backend. The default fixed-width kernel is
   /// observably identical to the exact oracle (the cross-check suite
   /// asserts byte-identical verdicts/metrics/audit output) but an order

@@ -7,17 +7,14 @@ namespace byzrename::core {
 using numeric::Rational;
 using sim::Id;
 
-bool decode_vote(const sim::RanksMsg& msg, const sim::SystemParams& params,
-                 const RenamingOptions& options, RankMap& out) {
-  const int max_entries =
-      options.max_vote_entries >= 0 ? options.max_vote_entries : params.n + params.t;
-  if (static_cast<int>(msg.ids.size()) > max_entries) return false;
+bool decode_vote(const sim::RanksMsg& msg, const sim::SystemParams& params, RankMap& out) {
+  if (static_cast<int>(msg.ids.size()) > max_vote_entries(params)) return false;
   out.clear();
   bool ok = true;
   msg.for_each_value([&](Id id, const Rational& rank) {
     if (!ok) return;
     // Unsorted or duplicate id, or an oversized encoding.
-    ok = (out.empty() || id > out.rbegin()->first) && rank.encoded_bits() <= options.max_rank_bits;
+    ok = (out.empty() || id > out.rbegin()->first) && rank.encoded_bits() <= kMaxRankBits;
     if (ok) out.emplace_hint(out.end(), id, rank);
   });
   return ok;
@@ -36,13 +33,26 @@ bool is_valid_ranks(const std::set<Id>& timely, const RankMap& vote, const Ratio
   return true;
 }
 
-std::vector<Rational> select_t(const std::vector<Rational>& sorted, int t) {
-  if (t <= 0) return sorted;
-  std::vector<Rational> chosen;
-  for (std::size_t i = 0; i < sorted.size(); i += static_cast<std::size_t>(t)) {
-    chosen.push_back(sorted[i]);
+RankMap initial_ranks(const std::set<Id>& accepted, const Rational& delta) {
+  RankMap ranks;
+  std::int64_t position = 0;
+  for (const Id id : accepted) {  // std::set iterates in sorted order
+    ranks.emplace_hint(ranks.end(), id, Rational(++position) * delta);
   }
-  return chosen;
+  return ranks;
+}
+
+Rational trimmed_mean(std::vector<Rational>& ballot, int t) {
+  std::sort(ballot.begin(), ballot.end());
+  // Positions t, 2t, ... below N - t: select_t of the trimmed middle.
+  const auto trim = static_cast<std::size_t>(std::max(t, 0));
+  Rational sum;
+  std::int64_t count = 0;
+  for (std::size_t i = trim; i + trim < ballot.size(); i += std::max<std::size_t>(trim, 1)) {
+    sum += ballot[i];
+    ++count;
+  }
+  return sum / Rational(count);
 }
 
 ApproximateResult approximate(const sim::SystemParams& params, std::set<Id>& accepted,
@@ -76,15 +86,9 @@ ApproximateResult approximate(const sim::SystemParams& params, std::set<Id>& acc
       ballot.push_back(own != my_ranks.end() ? own->second : Rational(0));
     }
 
-    std::sort(ballot.begin(), ballot.end());
-    // Discard the t lowest and t highest (lines 12-14); what remains is
-    // guaranteed to lie within the range of correct inputs.
-    std::vector<Rational> trimmed(ballot.begin() + t, ballot.end() - t);
-
-    const std::vector<Rational> chosen = select_t(trimmed, t);
-    Rational sum;
-    for (const Rational& value : chosen) sum += value;
-    result.new_ranks.emplace(id, sum / Rational(static_cast<std::int64_t>(chosen.size())));
+    // Discard the t lowest and t highest (lines 12-14), whose remainder
+    // lies within the range of correct inputs, and average select_t.
+    result.new_ranks.emplace(id, trimmed_mean(ballot, t));
     ++it;
   }
   return result;

@@ -17,11 +17,12 @@ namespace byzrename::core {
 using RankMap = std::map<sim::Id, numeric::Rational>;
 
 /// Decodes a received RanksMsg into a RankMap, rejecting structurally
-/// malformed votes: duplicate or unsorted ids, oversized entry counts, or
-/// rank encodings beyond options.max_rank_bits (see RenamingOptions for
-/// why the size guard is principled). Returns false on rejection.
+/// malformed votes: duplicate or unsorted ids, more than
+/// max_vote_entries entries, or a rank encoding beyond kMaxRankBits (see
+/// core/params.h for why the size guard is principled). Returns false on
+/// rejection.
 [[nodiscard]] bool decode_vote(const sim::RanksMsg& msg, const sim::SystemParams& params,
-                               const RenamingOptions& options, RankMap& out);
+                               RankMap& out);
 
 /// Alg. 2: a vote is valid iff it ranks every id in the local `timely`
 /// set and those ranks appear in id order separated by at least delta.
@@ -32,11 +33,17 @@ using RankMap = std::map<sim::Id, numeric::Rational>;
 [[nodiscard]] bool is_valid_ranks(const std::set<sim::Id>& timely, const RankMap& vote,
                                   const numeric::Rational& delta);
 
-/// select_t: "the smallest and each t-th element after it" of a sorted
-/// multiset — 0-based positions 0, t, 2t, ... (paper, Section IV-B). For
-/// t == 0 the whole multiset is returned.
-[[nodiscard]] std::vector<numeric::Rational> select_t(const std::vector<numeric::Rational>& sorted,
-                                                      int t);
+/// Alg. 1 lines 26-28: ranks[id] := position * delta, position being the
+/// id's 1-based position in the sorted accepted set.
+[[nodiscard]] RankMap initial_ranks(const std::set<sim::Id>& accepted,
+                                    const numeric::Rational& delta);
+
+/// Alg. 3 lines 12-16 on a ballot padded to N values: sorts it in place,
+/// discards the t lowest and t highest, and returns the mean of select_t
+/// of the rest, "the smallest and each t-th element after it" (paper,
+/// Section IV-B): 0-based positions t, 2t, ... of the sorted ballot, and
+/// every value when t == 0.
+[[nodiscard]] numeric::Rational trimmed_mean(std::vector<numeric::Rational>& ballot, int t);
 
 /// Result of one approximation step.
 struct ApproximateResult {
@@ -49,8 +56,7 @@ struct ApproximateResult {
 /// Alg. 3: one voting step. For each id still in `accepted`, gathers the
 /// votes for that id from all (already validated) received rank arrays,
 /// drops ids with fewer than N-t votes, pads the multiset with the local
-/// value to exactly N entries, discards the t lowest and t highest, and
-/// averages the select_t subsequence of the remainder.
+/// value to exactly N entries and moves to its trimmed_mean.
 ///
 /// @param accepted  in/out: the local accepted set; dropped ids are removed.
 /// @param my_ranks  the local rank estimates (source of padding values).

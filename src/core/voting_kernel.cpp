@@ -1,10 +1,10 @@
 #include "core/voting_kernel.h"
 
 #include <algorithm>
-#include <bit>
 #include <cstdint>
 #include <functional>
 #include <stdexcept>
+#include <type_traits>
 
 namespace byzrename::core {
 
@@ -13,6 +13,7 @@ using numeric::FixedConvert;
 using numeric::FixedSpec;
 using numeric::kFixedAccLimbs;
 using numeric::kFixedRankLimbs;
+using numeric::kSignBias;
 using numeric::limb_t;
 using numeric::Rational;
 using numeric::uwide_t;
@@ -20,26 +21,64 @@ using sim::Id;
 
 namespace {
 
-constexpr limb_t kSignBias = limb_t{1} << 63;
-
 void copy_limbs(limb_t* dst, const limb_t* src, int w) noexcept {
   for (int i = 0; i < w; ++i) dst[i] = src[i];
 }
 
-/// Bit length of |v| for a two's-complement value (scratch-free).
-std::size_t signed_bit_length(const limb_t* v, int w) noexcept {
-  limb_t mag[kFixedRankLimbs];
-  if (numeric::limb_is_negative(v, w)) {
-    numeric::limb_neg(mag, v, w);
-  } else {
-    copy_limbs(mag, v, w);
-  }
-  for (int i = w - 1; i >= 0; --i) {
-    if (mag[i] != 0) {
-      return static_cast<std::size_t>(i) * 64 + std::bit_width(mag[i]);
+// Sort keys (FixedBallotKernel::fill builds them): the u128 form for
+// width 2, big-endian limb arrays above.
+using WideKey = std::array<limb_t, kFixedRankLimbs>;
+
+void from_key(const uwide_t& key, int, limb_t* value) noexcept {
+  value[0] = static_cast<limb_t>(key);
+  value[1] = static_cast<limb_t>(key >> 64) ^ kSignBias;
+}
+
+void from_key(const WideKey& key, int w, limb_t* value) noexcept {
+  for (int i = 0; i < w; ++i) value[i] = key[static_cast<std::size_t>(w - 1 - i)];
+  value[w - 1] ^= kSignBias;
+}
+
+/// Orders keys (t > 0) far enough that positions t, 2t, ..., picks * t
+/// hold their order statistics.
+template <typename Key>
+void order_selected(Key* keys, int n, int t, int picks) {
+  if constexpr (std::is_same_v<Key, uwide_t>) {
+    if (n <= numeric::kNetworkSortMax) {
+      numeric::sort_u128_network(keys, n);
+      return;
     }
   }
-  return 0;
+  if (picks > 8) {
+    std::sort(keys, keys + n);
+    return;
+  }
+  // Few order statistics: successive nth_element over shrinking
+  // suffixes beats a full sort.
+  int prev = -1;
+  for (int j = 1; j <= picks; ++j) {
+    std::nth_element(keys + prev + 1, keys + t * j, keys + n);
+    prev = t * j;
+  }
+}
+
+/// Feeds the values select_t keeps of the n keys to `add`: positions t,
+/// 2t, ..., picks * t once sorted, and all of them when t == 0.
+template <typename Key, typename Add>
+void add_selected(Key* keys, int w, int n, int t, int picks, Add&& add) {
+  limb_t value[kFixedRankLimbs];
+  if (t <= 0) {
+    for (int i = 0; i < n; ++i) {
+      from_key(keys[i], w, value);
+      add(value);
+    }
+    return;
+  }
+  order_selected(keys, n, t, picks);
+  for (int j = 1; j <= picks; ++j) {
+    from_key(keys[t * j], w, value);
+    add(value);
+  }
 }
 
 }  // namespace
@@ -48,128 +87,39 @@ std::size_t signed_bit_length(const limb_t* v, int w) noexcept {
 // FixedBallotKernel
 // ---------------------------------------------------------------------------
 
-FixedBallotKernel::Outcome FixedBallotKernel::average_keys(const FixedSpec& spec,
-                                                           uwide_t* keys, int n, limb_t* out,
-                                                           BigInt& sum_out) {
-  const int w = spec.width;
-  const int t = spec.t;
-  const auto c = static_cast<limb_t>(spec.select_count);
-
-  limb_t acc[kFixedAccLimbs] = {0, 0, 0};
-  const auto accumulate_key = [&](uwide_t key) {
-    limb_t value[3] = {static_cast<limb_t>(key), static_cast<limb_t>(key >> 64) ^ kSignBias, 0};
-    numeric::limb_sign_extend(value, 2, 3);
-    // Wrapping add: the true sum fits w+1 limbs, so modular two's
-    // complement is exact.
-    (void)numeric::limb_add_n(acc, acc, value, 3);
-  };
-
-  if (t <= 0) {
-    // No trim and select_t keeps everything: the sum is order-free, so
-    // no sort is needed at all.
-    for (int i = 0; i < n; ++i) accumulate_key(keys[i]);
-  } else {
-    const int picks = static_cast<int>(spec.select_count);
-    if (n <= numeric::kNetworkSortMax) {
-      numeric::sort_u128_network(keys, n);
-    } else if (picks <= 8) {
-      // Few order statistics: successive nth_element over shrinking
-      // suffixes beats a full sort (positions are t, 2t, ..., ct).
-      int prev = -1;
-      for (int j = 0; j < picks; ++j) {
-        const int pos = t * (1 + j);
-        std::nth_element(keys + prev + 1, keys + pos, keys + n);
-        prev = pos;
-      }
-    } else {
-      std::sort(keys, keys + n);
-    }
-    for (int j = 0; j < picks; ++j) accumulate_key(keys[t * (1 + j)]);
-  }
-
-  const bool negative = numeric::limb_is_negative(acc, 3);
-  limb_t magnitude[kFixedAccLimbs];
-  if (negative) {
-    numeric::limb_neg(magnitude, acc, 3);
-  } else {
-    copy_limbs(magnitude, acc, 3);
-  }
-  limb_t quotient[kFixedAccLimbs];
-  if (numeric::limb_divrem_1(quotient, magnitude, 3, c) != 0) {
-    sum_out = BigInt::from_words64(magnitude, 3, negative);
-    return Outcome::kRemainder;
-  }
-  if (negative) {
-    numeric::limb_neg(out, quotient, w);
-  } else {
-    copy_limbs(out, quotient, w);
-  }
-  return Outcome::kOk;
+void FixedBallotKernel::prepare(const FixedSpec& spec, int n) {
+  width_ = spec.width;
+  n_ = n;
+  t_ = spec.t;
+  picks_ = static_cast<int>(spec.select_count);
+  const auto size = static_cast<std::size_t>(n);
+  if (width_ == 2 && keys_.size() < size) keys_.resize(size);
+  if (width_ != 2 && wide_keys_.size() < size) wide_keys_.resize(size);
 }
 
-FixedBallotKernel::Outcome FixedBallotKernel::average(const FixedSpec& spec, limb_t* ballot,
-                                                      int n, limb_t* out, BigInt& sum_out) {
-  const int w = spec.width;
-  const int t = spec.t;
-  const auto c = static_cast<limb_t>(spec.select_count);
-
-  if (w == 2 && t > 0) {
-    // Offset-binary u128 keys: flipping the sign bit of the top limb
-    // maps two's-complement order onto unsigned order, so the sort is a
-    // flat branch-free key compare and keys convert back bijectively.
-    keys_.resize(static_cast<std::size_t>(n));
-    for (int i = 0; i < n; ++i) {
-      const limb_t lo = ballot[2 * i];
-      const limb_t hi = ballot[2 * i + 1] ^ kSignBias;
-      keys_[static_cast<std::size_t>(i)] = (static_cast<uwide_t>(hi) << 64) | lo;
-    }
-    return average_keys(spec, keys_.data(), n, out, sum_out);
+void FixedBallotKernel::get(int i, limb_t* value) const noexcept {
+  if (width_ == 2) {
+    from_key(keys_[static_cast<std::size_t>(i)], width_, value);
+  } else {
+    from_key(wide_keys_[static_cast<std::size_t>(i)], width_, value);
   }
+}
 
-  limb_t acc[kFixedAccLimbs] = {0, 0, 0, 0, 0};
-  limb_t tmp[kFixedAccLimbs];
-  const auto accumulate = [&](const limb_t* value) {
-    copy_limbs(tmp, value, w);
-    numeric::limb_sign_extend(tmp, w, w + 1);
+FixedBallotKernel::Outcome FixedBallotKernel::average(limb_t* out, BigInt& sum_out) {
+  const int w = width_;
+  limb_t acc[kFixedAccLimbs] = {};
+  const auto add = [&](const limb_t* value) {
+    limb_t wide[kFixedAccLimbs];
+    copy_limbs(wide, value, w);
+    numeric::limb_sign_extend(wide, w, w + 1);
     // Wrapping add: the true sum fits w+1 limbs, so modular two's
     // complement is exact.
-    (void)numeric::limb_add_n(acc, acc, tmp, w + 1);
+    (void)numeric::limb_add_n(acc, acc, wide, w + 1);
   };
-
-  if (t <= 0) {
-    // No trim and select_t keeps everything: the sum is order-free, so
-    // no sort is needed at all.
-    for (int i = 0; i < n; ++i) accumulate(ballot + static_cast<std::size_t>(i) * w);
+  if (w == 2) {
+    add_selected(keys_.data(), w, n_, t_, picks_, add);
   } else {
-    // Wide values: big-endian limb keys with a biased top limb, ordered
-    // by std::array's lexicographic compare.
-    wide_keys_.resize(static_cast<std::size_t>(n));
-    for (int i = 0; i < n; ++i) {
-      auto& key = wide_keys_[static_cast<std::size_t>(i)];
-      const limb_t* value = ballot + static_cast<std::size_t>(i) * w;
-      for (int j = 0; j < w; ++j) key[static_cast<std::size_t>(j)] = value[w - 1 - j];
-      key[0] ^= kSignBias;
-      for (int j = w; j < kFixedRankLimbs; ++j) key[static_cast<std::size_t>(j)] = 0;
-    }
-    const int picks = static_cast<int>(spec.select_count);
-    if (picks <= 8) {
-      int prev = -1;
-      for (int j = 0; j < picks; ++j) {
-        const int pos = t * (1 + j);
-        std::nth_element(wide_keys_.begin() + prev + 1, wide_keys_.begin() + pos,
-                         wide_keys_.begin() + n);
-        prev = pos;
-      }
-    } else {
-      std::sort(wide_keys_.begin(), wide_keys_.begin() + n);
-    }
-    for (int j = 0; j < picks; ++j) {
-      auto key = wide_keys_[static_cast<std::size_t>(t * (1 + j))];
-      key[0] ^= kSignBias;
-      limb_t value[kFixedRankLimbs];
-      for (int i = 0; i < w; ++i) value[i] = key[static_cast<std::size_t>(w - 1 - i)];
-      accumulate(value);
-    }
+    add_selected(wide_keys_.data(), w, n_, t_, picks_, add);
   }
 
   const bool negative = numeric::limb_is_negative(acc, w + 1);
@@ -180,7 +130,7 @@ FixedBallotKernel::Outcome FixedBallotKernel::average(const FixedSpec& spec, lim
     copy_limbs(magnitude, acc, w + 1);
   }
   limb_t quotient[kFixedAccLimbs];
-  if (numeric::limb_divrem_1(quotient, magnitude, w + 1, c) != 0) {
+  if (numeric::limb_divrem_1(quotient, magnitude, w + 1, static_cast<limb_t>(picks_)) != 0) {
     sum_out = BigInt::from_words64(magnitude, w + 1, negative);
     return Outcome::kRemainder;
   }
@@ -465,19 +415,8 @@ FixedVotingEngine::FixedVotingEngine(sim::SystemParams params, RenamingOptions o
       delta_(delta(params)),
       w_(spec_.width) {
   link_seen_.assign(static_cast<std::size_t>(params.n), 0);
-  // Representable magnitudes stay below 2^(64w - 1), so when even the
-  // widest on-grid value fits the rank-bits budget (it always does at
-  // the default 4096), the per-entry check on limb entries is vacuous.
-  bits_always_ok_ =
-      spec_.ok && 64 * static_cast<std::size_t>(w_) - 1 + spec_.scale_bits + 2 <=
-                      options_.max_rank_bits;
   if (options_.view_cache != nullptr && spec_.ok) {
-    const ViewCache::Domain domain{params_.n,
-                                   params_.t,
-                                   w_,
-                                   spec_.scale,
-                                   options_.max_rank_bits,
-                                   options_.max_vote_entries,
+    const ViewCache::Domain domain{params_.n, params_.t, w_, spec_.scale,
                                    options_.validate_votes};
     if (options_.view_cache->join(domain)) cache_ = options_.view_cache;
   }
@@ -560,17 +499,6 @@ void FixedVotingEngine::load(const sim::RanksMsg& next, std::set<Id>& accepted) 
   }
 }
 
-bool FixedVotingEngine::rank_bits_ok(const limb_t* num) const {
-  // Sufficient unreduced bound first: encoded_bits of the reduced form
-  // never exceeds bits(|num|) + bits(S) + 2, so honest budgets pass
-  // without a gcd; only artificially tiny max_rank_bits options reach
-  // the exact computation.
-  const std::size_t bound = signed_bit_length(num, w_) + spec_.scale_bits + 2;
-  if (bound <= options_.max_rank_bits) return true;
-  return numeric::fixed_to_rational(num, w_, spec_.scale_big).encoded_bits() <=
-         options_.max_rank_bits;
-}
-
 namespace {
 
 /// Gap validity over the fixed lane: cur - prev >= delta * S, computed
@@ -598,6 +526,12 @@ bool gap_ok(const limb_t* prev, const limb_t* cur, const FixedSpec& spec) noexce
 
 }  // namespace
 
+// A value on the instance grid has at most 64w magnitude bits over an S
+// below 2^(64 * kFixedRankLimbs), so in lowest terms it needs at most
+// 64w + 64 * kFixedRankLimbs + 2 bits: the rank budget binds only side
+// entries.
+static_assert(2 * 64 * kFixedRankLimbs + 2 <= kMaxRankBits);
+
 bool FixedVotingEngine::admit(const sim::RanksMsg& msg) {
   const std::size_t count = msg.ids.size();
   if (msg.nums.size() != count * static_cast<std::size_t>(msg.width)) return false;
@@ -608,63 +542,40 @@ bool FixedVotingEngine::admit(const sim::RanksMsg& msg) {
     msg.for_each_value([&copy](Id id, const Rational& value) { copy.push_exact(id, value); });
     return admit(copy);
   }
-  const int max_entries =
-      options_.max_vote_entries >= 0 ? options_.max_vote_entries : params_.n + params_.t;
-  if (static_cast<int>(count) > max_entries) return false;
+  if (static_cast<int>(count) > max_vote_entries(params_)) return false;
 
-  if (msg.exacts.empty() && msg.width == w_) {
-    // Every entry on the grid: the steady state.
-    for (std::size_t i = 0; i < count; ++i) {
-      if (i > 0 && msg.ids[i] <= msg.ids[i - 1]) return false;  // unsorted or duplicate id
-      if (!bits_always_ok_ && !rank_bits_ok(msg.nums.data() + i * w_)) return false;
-    }
-
-    if (options_.validate_votes) {
-      // is_valid_ranks over the fixed lane: every timely id ranked, with
-      // consecutive ranks separated by at least delta.
-      const limb_t* prev_num = nullptr;
-      std::uint32_t pos = 0;
-      for (const Id id : timely_flat_) {
-        while (pos < count && msg.ids[pos] < id) ++pos;
-        if (pos >= count || msg.ids[pos] != id) return false;
-        const limb_t* cur_num = msg.nums.data() + static_cast<std::size_t>(pos) * w_;
-        if (prev_num != nullptr && !gap_ok(prev_num, cur_num, spec_)) return false;
-        prev_num = cur_num;
-      }
-    }
-
-    votes_.push_back(
-        Vote{msg.ids.data(), msg.nums.data(), static_cast<std::uint32_t>(count), nullptr, 0, 0});
-    return true;
+  // Ids ascend. The side list names entries in ascending index order,
+  // each within the rank budget, and without a grid it names all of them.
+  const Id* ids = msg.ids.data();
+  for (std::size_t i = 1; i < count; ++i) {
+    if (ids[i] <= ids[i - 1]) return false;  // unsorted or duplicate id
   }
-
-  // Side entries present. The side list must run in index order, and
-  // without a grid it must hold every entry.
-  const Exacts& exacts = msg.exacts;
-  std::size_t ec = 0;
-  for (std::size_t i = 0; i < count; ++i) {
-    if (i > 0 && msg.ids[i] <= msg.ids[i - 1]) return false;
-    if (ec < exacts.size() && exacts[ec].first == i) {
-      if (exacts[ec++].second.encoded_bits() > options_.max_rank_bits) return false;
-    } else if (msg.width == 0 || (!bits_always_ok_ && !rank_bits_ok(msg.nums.data() + i * w_))) {
+  const Exact* const side = msg.exacts.data();
+  const Exact* const side_end = side + msg.exacts.size();
+  if (msg.width == 0 && msg.exacts.size() != count) return false;
+  for (const Exact* entry = side; entry != side_end; ++entry) {
+    if (entry->first >= count || (entry != side && entry->first <= entry[-1].first) ||
+        entry->second.encoded_bits() > kMaxRankBits) {
       return false;
     }
   }
-  if (ec != exacts.size()) return false;
 
   if (options_.validate_votes) {
+    // is_valid_ranks: every timely id ranked, with consecutive ranks
+    // separated by at least delta; in limbs while both are on the grid.
+    const int w = w_;
+    const limb_t* nums = msg.nums.data();
+    const Exact* next_side = side;
     const limb_t* prev_num = nullptr;
     const Rational* prev_exact = nullptr;
-    std::uint32_t pos = 0;
-    ec = 0;
+    std::size_t pos = 0;
     for (const Id id : timely_flat_) {
-      while (pos < count && msg.ids[pos] < id) ++pos;
-      if (pos >= count || msg.ids[pos] != id) return false;
-      while (ec < exacts.size() && exacts[ec].first < pos) ++ec;
+      while (pos < count && ids[pos] < id) ++pos;
+      if (pos >= count || ids[pos] != id) return false;
+      while (next_side != side_end && next_side->first < pos) ++next_side;
       const Rational* cur_exact =
-          ec < exacts.size() && exacts[ec].first == pos ? &exacts[ec].second : nullptr;
-      const limb_t* cur_num =
-          cur_exact == nullptr ? msg.nums.data() + static_cast<std::size_t>(pos) * w_ : nullptr;
+          next_side != side_end && next_side->first == pos ? &next_side->second : nullptr;
+      const limb_t* cur_num = cur_exact == nullptr ? nums + pos * w : nullptr;
       if (prev_num == nullptr && prev_exact == nullptr) {
         // The first timely id: no gap to check.
       } else if (prev_exact == nullptr && cur_exact == nullptr) {
@@ -672,10 +583,10 @@ bool FixedVotingEngine::admit(const sim::RanksMsg& msg) {
       } else {
         const Rational a = prev_exact != nullptr
                                ? *prev_exact
-                               : numeric::fixed_to_rational(prev_num, w_, spec_.scale_big);
+                               : numeric::fixed_to_rational(prev_num, w, spec_.scale_big);
         const Rational b = cur_exact != nullptr
                                ? *cur_exact
-                               : numeric::fixed_to_rational(cur_num, w_, spec_.scale_big);
+                               : numeric::fixed_to_rational(cur_num, w, spec_.scale_big);
         if (b - a < delta_) return false;
       }
       prev_num = cur_num;
@@ -683,8 +594,8 @@ bool FixedVotingEngine::admit(const sim::RanksMsg& msg) {
     }
   }
 
-  votes_.push_back(
-      Vote{msg.ids.data(), msg.nums.data(), static_cast<std::uint32_t>(count), &exacts, 0, 0});
+  votes_.push_back(Vote{ids, msg.nums.data(), static_cast<std::uint32_t>(count), 0, side,
+                        side_end, side != side_end ? side->first : kNoSide});
   return true;
 }
 
@@ -758,85 +669,32 @@ void FixedVotingEngine::compute(const sim::Inbox& inbox, std::set<Id>& accepted,
   next_nums_.clear();
   next_is_exact_.clear();
   next_overrides_.clear();
-  if (ballot_.size() < static_cast<std::size_t>(n) * static_cast<std::size_t>(w_)) {
-    ballot_.resize(static_cast<std::size_t>(n) * static_cast<std::size_t>(w_));
+  kernel_.prepare(spec_, n);
+  if (exact_hits_.size() < static_cast<std::size_t>(n)) {
+    exact_hits_.resize(static_cast<std::size_t>(n));
   }
 
-  // Fused lane: when every admitted vote is pure fixed (the steady
-  // state) and the local rank is on-grid, gather writes offset-binary
-  // u128 keys directly — no intermediate limb ballot, no exacts branch
-  // in the inner loop.
-  bool all_fixed = w_ == 2;
-  if (all_fixed) {
-    for (const Vote& vote : votes_) {
-      if (vote.exacts != nullptr) {
-        all_fixed = false;
-        break;
-      }
-    }
-  }
-  if (all_fixed && key_ballot_.size() < static_cast<std::size_t>(n)) {
-    key_ballot_.resize(static_cast<std::size_t>(n));
-  }
-
+  const int w = w_;
   for (std::size_t k = 0; k < ids_.size(); ++k) {
     const Id id = ids_[k];
-    if (all_fixed && is_exact_[k] == 0) {
-      int count = 0;
+    int count = 0;
+    std::size_t hits = 0;
+    kernel_.fill([&](auto set) {
       for (Vote& vote : votes_) {
         while (vote.cursor < vote.count && vote.ids[vote.cursor] < id) ++vote.cursor;
         if (vote.cursor >= vote.count || vote.ids[vote.cursor] != id) continue;
-        const limb_t* v = vote.nums + static_cast<std::size_t>(vote.cursor) * 2;
-        key_ballot_[static_cast<std::size_t>(count)] =
-            (static_cast<uwide_t>(v[1] ^ kSignBias) << 64) | v[0];
-        ++count;
-        ++vote.cursor;
-      }
-      if (count < n - t) {
-        accepted.erase(id);
-        continue;
-      }
-      if (count < n) {
-        const limb_t* own = nums_.data() + k * 2;
-        const uwide_t own_key = (static_cast<uwide_t>(own[1] ^ kSignBias) << 64) | own[0];
-        while (count < n) key_ballot_[static_cast<std::size_t>(count++)] = own_key;
-      }
-      limb_t result[kFixedRankLimbs];
-      BigInt sum;
-      if (kernel_.average_keys(spec_, key_ballot_.data(), n, result, sum) ==
-          FixedBallotKernel::Outcome::kOk) {
-        push_result(id, result);
-      } else {
-        push_override(id, Rational(sum, BigInt(spec_.select_count) * spec_.scale_big));
-      }
-      continue;
-    }
-    int count = 0;
-    exact_hits_.clear();
-    for (Vote& vote : votes_) {
-      while (vote.cursor < vote.count && vote.ids[vote.cursor] < id) ++vote.cursor;
-      if (vote.cursor >= vote.count || vote.ids[vote.cursor] != id) continue;
-      if (vote.exacts != nullptr) {
-        const Exacts& exacts = *vote.exacts;
-        while (vote.exact_cursor < exacts.size() &&
-               exacts[vote.exact_cursor].first < vote.cursor) {
-          ++vote.exact_cursor;
+        const std::uint32_t at = vote.cursor++;
+        if (vote.side_at <= at) {
+          // Past the side entries of ids this engine no longer holds.
+          while (vote.side_at < at) vote.pass_side();
+          if (vote.side_at == at) {
+            exact_hits_[hits++] = {static_cast<std::uint32_t>(count++), &vote.side->second};
+            continue;
+          }
         }
-        if (vote.exact_cursor < exacts.size() &&
-            exacts[vote.exact_cursor].first == vote.cursor) {
-          exact_hits_.emplace_back(static_cast<std::uint32_t>(count),
-                                   &exacts[vote.exact_cursor].second);
-          for (int i = 0; i < w_; ++i) ballot_[static_cast<std::size_t>(count) * w_ + i] = 0;
-          ++count;
-          ++vote.cursor;
-          continue;
-        }
+        set(count++, vote.nums + static_cast<std::size_t>(at) * w);
       }
-      copy_limbs(ballot_.data() + static_cast<std::size_t>(count) * w_,
-                 vote.nums + static_cast<std::size_t>(vote.cursor) * w_, w_);
-      ++count;
-      ++vote.cursor;
-    }
+    });
 
     if (count < n - t) {
       // Fewer than N-t votes: discarded (Alg. 3 line 08); never a
@@ -849,25 +707,19 @@ void FixedVotingEngine::compute(const sim::Inbox& inbox, std::set<Id>& accepted,
     if (count < n) {
       if (is_exact_[k] != 0) {
         const Rational& own = overrides_.at(id);
-        while (count < n) {
-          exact_hits_.emplace_back(static_cast<std::uint32_t>(count), &own);
-          for (int i = 0; i < w_; ++i) ballot_[static_cast<std::size_t>(count) * w_ + i] = 0;
-          ++count;
-        }
+        while (count < n) exact_hits_[hits++] = {static_cast<std::uint32_t>(count++), &own};
       } else {
-        const limb_t* own = nums_.data() + k * static_cast<std::size_t>(w_);
-        while (count < n) {
-          copy_limbs(ballot_.data() + static_cast<std::size_t>(count) * w_, own, w_);
-          ++count;
-        }
+        const limb_t* own = nums_.data() + k * static_cast<std::size_t>(w);
+        kernel_.fill([&](auto set) {
+          while (count < n) set(count++, own);
+        });
       }
     }
 
-    if (exact_hits_.empty()) {
+    if (hits == 0) {
       limb_t result[kFixedRankLimbs];
       BigInt sum;
-      if (kernel_.average(spec_, ballot_.data(), n, result, sum) ==
-          FixedBallotKernel::Outcome::kOk) {
+      if (kernel_.average(result, sum) == FixedBallotKernel::Outcome::kOk) {
         push_result(id, result);
       } else {
         // Sum not divisible by c: the exact average sum / (c*S) left
@@ -877,31 +729,22 @@ void FixedVotingEngine::compute(const sim::Inbox& inbox, std::set<Id>& accepted,
       continue;
     }
 
-    // Exact-oracle lane: at least one ballot entry is off-grid.
-    // Materializes the ballot in the oracle's order (vote order, then
-    // padding) and replicates rank_approx::approximate verbatim.
+    // Exact lane: at least one ballot entry is off the grid, so the
+    // oracle's trimmed_mean averages the ballot.
     exact_ballot_.clear();
     std::size_t hit = 0;
     for (int j = 0; j < n; ++j) {
-      if (hit < exact_hits_.size() &&
+      if (hit < hits &&
           exact_hits_[hit].first == static_cast<std::uint32_t>(j)) {
         exact_ballot_.push_back(*exact_hits_[hit].second);
         ++hit;
       } else {
-        exact_ballot_.push_back(numeric::fixed_to_rational(
-            ballot_.data() + static_cast<std::size_t>(j) * w_, w_, spec_.scale_big));
+        limb_t value[kFixedRankLimbs];
+        kernel_.get(j, value);
+        exact_ballot_.push_back(numeric::fixed_to_rational(value, w, spec_.scale_big));
       }
     }
-    std::sort(exact_ballot_.begin(), exact_ballot_.end());
-    Rational sum;
-    if (t > 0) {
-      for (std::int64_t j = 0; j < spec_.select_count; ++j) {
-        sum += exact_ballot_[static_cast<std::size_t>(t) * static_cast<std::size_t>(1 + j)];
-      }
-    } else {
-      for (const Rational& value : exact_ballot_) sum += value;
-    }
-    Rational result = sum / Rational(spec_.select_count);
+    Rational result = trimmed_mean(exact_ballot_, t);
     limb_t fixed_result[kFixedRankLimbs];
     if (numeric::rational_to_fixed(result, spec_, fixed_result) == FixedConvert::kOk) {
       push_result(id, fixed_result);  // landed back on the grid

@@ -20,8 +20,11 @@ namespace byzrename::core {
 
 /// Trimmed-mean select_t averaging over a padded ballot of fixed-point
 /// values — the arithmetic heart of one Alg. 3 voting step, shared by
-/// the renaming engine and the AA substrate. Scratch buffers are pooled
-/// inside the object, so steady-state calls allocate nothing.
+/// the renaming engine and the AA substrate. Entries are held as
+/// offset-binary sort keys (flipping the top limb's sign bit maps two's-
+/// complement order onto unsigned order): one u128 per value at width 2,
+/// a big-endian limb array above. Storage is pooled inside the object,
+/// so steady-state ballots allocate nothing.
 class FixedBallotKernel {
  public:
   enum class Outcome {
@@ -30,24 +33,44 @@ class FixedBallotKernel {
                  ///< the exact value sum / (c * S), provided in sum_out
   };
 
-  /// Sorts ballot (n values of spec.width two's-complement limbs,
-  /// reordered in place), discards the t lowest/highest, sums the
-  /// select_t positions and divides by spec.select_count. Equal by
-  /// construction to rank_approx's exact pipeline on the same multiset.
-  Outcome average(const numeric::FixedSpec& spec, numeric::limb_t* ballot, int n,
-                  numeric::limb_t* out, numeric::BigInt& sum_out);
+  /// From here on, ballots hold n values on `spec`'s grid.
+  void prepare(const numeric::FixedSpec& spec, int n);
 
-  /// width == 2 fast form: the ballot arrives as offset-binary u128
-  /// keys (top limb sign-bit flipped), the representation `average`
-  /// would build internally anyway — callers that gather straight into
-  /// key form skip one full pass over the ballot. Keys are reordered.
-  Outcome average_keys(const numeric::FixedSpec& spec, numeric::uwide_t* keys, int n,
-                       numeric::limb_t* out, numeric::BigInt& sum_out);
+  /// Returns fill(set); set(i, value) stores entry i, value being
+  /// spec.width two's-complement limbs. `set` is specialized to the
+  /// width, so the loop inside `fill` pays no per-entry dispatch.
+  template <typename Fill>
+  decltype(auto) fill(Fill&& fill) {
+    if (width_ == 2) {
+      return fill([keys = keys_.data()](int i, const numeric::limb_t* value) {
+        keys[i] = (static_cast<numeric::uwide_t>(value[1] ^ numeric::kSignBias) << 64) | value[0];
+      });
+    }
+    return fill([keys = wide_keys_.data(), w = width_](int i, const numeric::limb_t* value) {
+      WideKey& key = keys[i];
+      key.fill(0);
+      for (int j = 0; j < w; ++j) key[static_cast<std::size_t>(j)] = value[w - 1 - j];
+      key[0] ^= numeric::kSignBias;
+    });
+  }
+
+  /// value := entry i, as stored (average reorders the entries).
+  void get(int i, numeric::limb_t* value) const noexcept;
+
+  /// Sorts the ballot, discards the t lowest/highest, sums the select_t
+  /// positions and divides by spec.select_count. Equal by construction
+  /// to rank_approx's trimmed_mean on the same multiset.
+  Outcome average(numeric::limb_t* out, numeric::BigInt& sum_out);
 
  private:
-  std::vector<numeric::uwide_t> keys_;  ///< width == 2: offset-binary u128 sort keys
-  std::vector<std::array<numeric::limb_t, numeric::kFixedRankLimbs>>
-      wide_keys_;  ///< width > 2: big-endian biased limbs, lexicographic order
+  using WideKey = std::array<numeric::limb_t, numeric::kFixedRankLimbs>;
+
+  int width_ = 0;
+  int n_ = 0;
+  int t_ = 0;
+  int picks_ = 0;                       ///< spec.select_count
+  std::vector<numeric::uwide_t> keys_;  ///< width == 2
+  std::vector<WideKey> wide_keys_;      ///< width > 2: big-endian, lexicographic order
 };
 
 /// One current rank as a vote producer reads it without materializing
@@ -138,8 +161,6 @@ class ViewCache {
     int t = 0;
     std::int32_t width = 0;
     std::array<numeric::limb_t, numeric::kFixedRankLimbs> scale{};
-    std::size_t max_rank_bits = 0;
-    int max_vote_entries = 0;
     bool validate_votes = true;
     friend bool operator==(const Domain&, const Domain&) = default;
   };
@@ -303,16 +324,25 @@ class FixedVotingEngine {
   [[nodiscard]] int override_count() const noexcept { return static_cast<int>(overrides_.size()); }
 
  private:
-  using Exacts = std::vector<sim::RanksMsg::Exact>;
+  using Exact = sim::RanksMsg::Exact;
 
-  /// An admitted vote, read in place from its message.
+  static constexpr std::uint32_t kNoSide = ~std::uint32_t{0};
+
+  /// An admitted vote, read in place from its message, with merge
+  /// cursors into its entries and its side list.
   struct Vote {
     const sim::Id* ids = nullptr;
     const numeric::limb_t* nums = nullptr;
     std::uint32_t count = 0;
-    const Exacts* exacts = nullptr;  ///< the side list; null if empty
     std::uint32_t cursor = 0;
-    std::uint32_t exact_cursor = 0;
+    const Exact* side = nullptr;  ///< first side entry not yet passed
+    const Exact* side_end = nullptr;
+    std::uint32_t side_at = kNoSide;  ///< side->first, kNoSide past the end
+
+    void pass_side() noexcept {
+      ++side;
+      side_at = side != side_end ? side->first : kNoSide;
+    }
   };
 
   /// The step itself, over timely_flat_.
@@ -326,7 +356,6 @@ class FixedVotingEngine {
   /// Admits a vote that passes the checks decode_vote + is_valid_ranks
   /// apply to its values.
   [[nodiscard]] bool admit(const sim::RanksMsg& msg);
-  [[nodiscard]] bool rank_bits_ok(const numeric::limb_t* num) const;
   void push_result(sim::Id id, const numeric::limb_t* num);
   void push_override(sim::Id id, numeric::Rational value);
 
@@ -335,10 +364,6 @@ class FixedVotingEngine {
   numeric::FixedSpec spec_;
   numeric::Rational delta_;
   int w_ = 0;
-  /// True when every representable fixed value trivially satisfies
-  /// max_rank_bits (the default budget): the per-entry bits check on
-  /// limb entries then short-circuits entirely.
-  bool bits_always_ok_ = false;
 
   // --- state: parallel arrays sorted by id, overrides on the side ----
   std::vector<sim::Id> ids_;
@@ -364,8 +389,7 @@ class FixedVotingEngine {
   std::vector<int> link_seen_;  ///< stamped with step_serial_, never cleared
   int step_serial_ = 0;
   std::vector<sim::Id> timely_flat_;  ///< pooled copy of the timely set
-  std::vector<numeric::limb_t> ballot_;
-  std::vector<numeric::uwide_t> key_ballot_;  ///< width == 2 fused-gather lane
+  /// The ballot's exact entries (position, value); sized n per step.
   std::vector<std::pair<std::uint32_t, const numeric::Rational*>> exact_hits_;
   std::vector<numeric::Rational> exact_ballot_;
   FixedBallotKernel kernel_;

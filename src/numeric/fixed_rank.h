@@ -1,7 +1,6 @@
 #ifndef BYZRENAME_NUMERIC_FIXED_RANK_H
 #define BYZRENAME_NUMERIC_FIXED_RANK_H
 
-#include <algorithm>
 #include <array>
 #include <cstddef>
 #include <cstdint>
@@ -101,6 +100,10 @@ inline void limb_neg(limb_t* r, const limb_t* a, int w) noexcept {
   }
 }
 
+/// The top bit of a limb. XOR-ing it into a value's top limb maps two's-
+/// complement order onto unsigned order (offset binary): sort keys.
+inline constexpr limb_t kSignBias = limb_t{1} << 63;
+
 /// Sign bit of a two's-complement value.
 inline bool limb_is_negative(const limb_t* v, int w) noexcept {
   return (v[w - 1] >> 63) != 0;
@@ -110,17 +113,6 @@ inline bool limb_is_negative(const limb_t* v, int w) noexcept {
 inline void limb_sign_extend(limb_t* v, int from_w, int to_w) noexcept {
   const limb_t fill = limb_is_negative(v, from_w) ? ~limb_t{0} : limb_t{0};
   for (int i = from_w; i < to_w; ++i) v[i] = fill;
-}
-
-/// Signed three-way compare of two two's-complement values: flipping the
-/// top limb's sign bit maps signed order onto unsigned lexicographic
-/// order (offset-binary), so one branchless scan decides.
-inline int limb_cmp_signed(const limb_t* a, const limb_t* b, int w) noexcept {
-  constexpr limb_t kBias = limb_t{1} << 63;
-  const limb_t ahi = a[w - 1] ^ kBias;
-  const limb_t bhi = b[w - 1] ^ kBias;
-  if (ahi != bhi) return ahi < bhi ? -1 : 1;
-  return limb_cmp(a, b, w - 1);
 }
 
 // ---------------------------------------------------------------------------
@@ -144,14 +136,6 @@ inline void sort_u128_network(uwide_t* v, int count) noexcept {
 
 /// Count at or below which the transposition network wins over std::sort.
 inline constexpr int kNetworkSortMax = 32;
-
-inline void sort_u128(uwide_t* v, int count) {
-  if (count <= kNetworkSortMax) {
-    sort_u128_network(v, count);
-  } else {
-    std::sort(v, v + count);
-  }
-}
 
 // ---------------------------------------------------------------------------
 // Per-instance fixed-point spec.
@@ -197,12 +181,6 @@ struct FixedSpec {
   std::array<limb_t, kFixedRankLimbs> scale{};        ///< S, little-endian
   std::array<limb_t, kFixedAccLimbs> delta_scaled{};  ///< delta * S = S + c^I
   BigInt scale_big;               ///< S for the slow/oracle paths
-
-  /// Exclusive magnitude bound of a convertible scaled numerator:
-  /// 2^(64*width - 1). Conversions reject anything at or beyond it.
-  [[nodiscard]] std::size_t max_scaled_bits() const noexcept {
-    return static_cast<std::size_t>(64 * width) - 1;
-  }
 };
 
 /// Derives the spec for an instance; iterations < 0 is treated as 0.

@@ -133,11 +133,6 @@ class MetricsSink final : public TelemetrySink {
   [[nodiscard]] const std::vector<Row>& rows() const noexcept { return rows_; }
   [[nodiscard]] const MetricsRegistry& registry() const noexcept { return registry_; }
 
-  /// Phase label of one captured round ("voting k=2").
-  [[nodiscard]] static std::string row_label(const Row& row) {
-    return core::phase_label(row.phase);
-  }
-
   /// One byzrename.metrics/1 line per captured round (schema'd in
   /// obs/schema.h). Fully deterministic — golden-file comparable.
   void write_metrics_jsonl(std::ostream& os) const;

@@ -139,13 +139,6 @@ struct WrappedEchoMsg {
 using Payload = std::variant<IdMsg, EchoMsg, ReadyMsg, RanksMsg, MultiEchoMsg, AAValueMsg, WordMsg,
                              WrappedCastMsg, WrappedEchoMsg>;
 
-/// Size of the payload in bits under a simple fixed-width wire model:
-/// ids cost 64 bits (log Nmax), rationals their exact numerator +
-/// denominator length, vectors a 32-bit length prefix. The network's
-/// metrics use the exact binary codec instead (sim/codec.h); this
-/// analytic model exists for quick worst-case estimates in tests.
-[[nodiscard]] std::size_t wire_bits(const Payload& payload) noexcept;
-
 /// Human-readable payload summary for traces and test diagnostics.
 [[nodiscard]] std::string describe(const Payload& payload);
 

@@ -129,15 +129,26 @@ TEST(ByzantineAA, ConvergesGeometrically) {
 
 TEST(ByzantineAA, OversizedValuesAreIgnored) {
   // A value whose encoding exceeds the budget must not poison the round.
+  // c + 2^-d encodes in 2d + 6 bits for c = 5 and 2d + 7 for c = 8.
+  const int d = 32765;
+  const auto sized = [d](std::int64_t c) {
+    const numeric::BigInt den = numeric::BigInt(1) << static_cast<std::size_t>(d);
+    return Rational(numeric::BigInt(c) * den + numeric::BigInt(1), den);
+  };
+  ASSERT_EQ(sized(5).encoded_bits(), ByzantineAAProcess::kMaxValueBits);
+  ASSERT_EQ(sized(8).encoded_bits(), ByzantineAAProcess::kMaxValueBits + 1);
   const sim::SystemParams params{.n = 4, .t = 1};
-  ByzantineAAProcess p(params, Rational(5), 1, /*max_value_bits=*/128);
-  sim::Inbox inbox;
-  inbox.push_back({0, sim::AAValueMsg{Rational(5)}});
-  inbox.push_back({1, sim::AAValueMsg{Rational(5)}});
-  inbox.push_back({2, sim::AAValueMsg{Rational(5)}});
-  inbox.push_back({3, sim::AAValueMsg{Rational(numeric::BigInt(1), numeric::BigInt(1) << 4096)}});
-  p.on_receive(1, inbox);
-  EXPECT_EQ(p.value(), Rational(5));
+  for (const std::int64_t c : {5, 8}) {
+    ByzantineAAProcess p(params, Rational(0), 1);
+    sim::Inbox inbox;
+    inbox.push_back({0, sim::AAValueMsg{Rational(10)}});
+    inbox.push_back({1, sim::AAValueMsg{Rational(10)}});
+    inbox.push_back({2, sim::AAValueMsg{sized(c)}});
+    p.on_receive(1, inbox);
+    // Admitted: sorted {0, x, 10, 10} averages positions 1 and 2. Ignored:
+    // the own value 0 pads the ballot to {0, 0, 10, 10}, which averages 5.
+    EXPECT_EQ(p.value(), c == 5 ? (sized(c) + Rational(10)) / Rational(2) : Rational(5));
+  }
 }
 
 TEST(ByzantineAA, DuplicateLinkValuesCountOnce) {

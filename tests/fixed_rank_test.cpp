@@ -183,63 +183,6 @@ TEST(FixedRanksCodec, EncodesByteIdenticallyToClassicForm) {
 // ---------------------------------------------------------------------------
 // Byzantine admission under the fixed engine
 
-TEST(FixedVotingEngine, OversizedRankEncodingStillRejected) {
-  const sim::SystemParams params{.n = 4, .t = 1};
-  core::FixedVotingEngine engine(params, core::RenamingOptions{},
-                                 core::default_approximation_iterations(1));
-  ASSERT_TRUE(engine.enabled());
-  std::set<sim::Id> accepted{1, 2, 3, 4};
-  engine.assign_initial_ranks(accepted);
-  const std::set<sim::Id> timely = accepted;
-  const core::RankMap before = engine.materialize();
-
-  const sim::PayloadRef honest = engine.encode_ranks();
-  sim::RanksMsg bloated = exact_form(std::get<sim::RanksMsg>(*honest));
-  // Denominator inflation far past max_rank_bits (default 4096): ~66
-  // words of 64 bits. The structural bits check must reject the vote
-  // before any arithmetic touches it.
-  std::vector<std::uint64_t> words(66, 0);
-  words[65] = 1;
-  bloated.exacts[0].second =
-      Rational(BigInt(1), BigInt::from_words64(words.data(), 66, false));
-
-  sim::Inbox inbox;
-  for (int link = 0; link < 3; ++link) inbox.push_back({link, honest});
-  inbox.push_back({3, sim::PayloadRef(std::move(bloated))});
-
-  int rejected = 0;
-  engine.step(inbox, timely, accepted, rejected);
-  EXPECT_EQ(rejected, 1);
-  EXPECT_EQ(accepted.size(), 4u);
-  // 3 identical honest votes (= n - t) plus own padding: ranks unchanged.
-  EXPECT_EQ(engine.materialize(), before);
-}
-
-TEST(FixedVotingEngine, OverlongFixedVoteRejected) {
-  const sim::SystemParams params{.n = 4, .t = 1};
-  core::FixedVotingEngine engine(params, core::RenamingOptions{},
-                                 core::default_approximation_iterations(1));
-  ASSERT_TRUE(engine.enabled());
-  std::set<sim::Id> accepted{1, 2, 3, 4};
-  engine.assign_initial_ranks(accepted);
-  const std::set<sim::Id> timely = accepted;
-
-  const sim::PayloadRef honest = engine.encode_ranks();
-  sim::RanksMsg spam = std::get<sim::RanksMsg>(*honest);
-  // Entry count past n + t (Lemma IV.3's cap): must be rejected whole.
-  while (spam.ids.size() <= 5) {
-    spam.ids.push_back(spam.ids.back() + 1000);
-    spam.nums.insert(spam.nums.end(), {0, 0});
-  }
-  sim::Inbox inbox;
-  for (int link = 0; link < 3; ++link) inbox.push_back({link, honest});
-  inbox.push_back({3, sim::PayloadRef(std::move(spam))});
-
-  int rejected = 0;
-  engine.step(inbox, timely, accepted, rejected);
-  EXPECT_EQ(rejected, 1);
-}
-
 TEST(FixedVotingEngine, MalformedVoteLayoutRejected) {
   // In-memory votes that break RanksMsg's layout are rejected whole
   // rather than read out of bounds.
@@ -274,6 +217,235 @@ TEST(FixedVotingEngine, MalformedVoteLayoutRejected) {
 }
 
 // ---------------------------------------------------------------------------
+// Admission differential: the engine admits a vote iff decode_vote and
+// (with validation on) is_valid_ranks accept it
+
+/// One vote entry; `side` forces it onto the side list.
+struct VoteEntry {
+  sim::Id id = 0;
+  Rational value;
+  bool side = false;
+};
+
+/// The vote holding `entries` in the given order on `grid` (null: no
+/// grid). An entry goes on the side list when marked or off the grid.
+sim::RanksMsg vote_of(const FixedSpec* grid, const std::vector<VoteEntry>& entries) {
+  sim::RanksMsg msg;
+  if (grid != nullptr) {
+    msg.width = grid->width;
+    msg.scale = grid->scale;
+  }
+  for (const VoteEntry& entry : entries) {
+    limb_t num[kFixedRankLimbs] = {};
+    if (grid != nullptr && !entry.side &&
+        numeric::rational_to_fixed(entry.value, *grid, num) == FixedConvert::kOk) {
+      msg.ids.push_back(entry.id);
+      msg.nums.insert(msg.nums.end(), num, num + grid->width);
+    } else {
+      msg.push_exact(entry.id, entry.value);
+    }
+  }
+  return msg;
+}
+
+/// Votes rejected when `vote` arrives alone, on one link, at a fresh
+/// engine holding the initial ranks of `timely`.
+int engine_rejected(const sim::SystemParams& params, const core::RenamingOptions& options,
+                    int iterations, const std::set<sim::Id>& timely, const sim::RanksMsg& vote) {
+  core::FixedVotingEngine engine(params, options, iterations);
+  std::set<sim::Id> accepted = timely;
+  engine.assign_initial_ranks(accepted);
+  sim::Inbox inbox;
+  inbox.push_back({0, sim::PayloadRef(vote)});
+  int rejected = 0;
+  engine.step(inbox, timely, accepted, rejected);
+  return rejected;
+}
+
+TEST(FixedVotingEngine, AdmissionMatchesDecodeAndIsValid) {
+  for (const int n : {4, 7, 13}) {
+    const int t = (n - 1) / 3;
+    const sim::SystemParams params{.n = n, .t = t};
+    const int iterations = core::default_approximation_iterations(t);
+    const FixedSpec grid = numeric::derive_fixed_spec(n, t, iterations);
+    const FixedSpec other_grid = numeric::derive_fixed_spec(n, t, iterations + 1);
+    ASSERT_TRUE(grid.ok);
+    ASSERT_TRUE(other_grid.ok);
+    const Rational delta = core::delta(params);
+    const Rational unit(BigInt(1), grid.scale_big);  // one grid step
+    const Rational off = Rational::of(1, 7);         // off every grid here
+    limb_t scratch[kFixedRankLimbs];
+    ASSERT_EQ(numeric::rational_to_fixed(off, grid, scratch), FixedConvert::kOffGrid);
+
+    // Timely ids 10, 20, ..., 10n at their initial ranks delta, 2 delta, ...
+    std::set<sim::Id> timely;
+    std::vector<VoteEntry> honest;
+    for (int i = 0; i < n; ++i) {
+      const auto id = static_cast<sim::Id>(10 * (i + 1));
+      timely.insert(id);
+      honest.push_back({id, Rational(i + 1) * delta});
+    }
+    const auto last = static_cast<std::size_t>(n - 1);
+    const std::size_t middle = last / 2;
+
+    std::vector<std::pair<std::string, sim::RanksMsg>> votes;
+    const auto add = [&](std::string label, const FixedSpec* on, std::vector<VoteEntry> entries) {
+      votes.emplace_back(std::move(label), vote_of(on, entries));
+    };
+    /// `honest` with entries from `from` on moved by `shift`, on the
+    /// side list if `side`.
+    const auto shifted = [&](std::size_t from, const Rational& shift, bool side) {
+      std::vector<VoteEntry> entries = honest;
+      for (std::size_t k = from; k < entries.size(); ++k) {
+        entries[k].value += shift;
+        entries[k].side = side;
+      }
+      return entries;
+    };
+
+    add("on grid", &grid, honest);
+    add("on grid, whole units up", &grid, shifted(0, Rational(5), false));
+    add("empty", &grid, {});
+    for (const std::size_t k : {std::size_t{0}, middle, last}) {
+      const std::string at = " at " + std::to_string(k);
+      std::vector<VoteEntry> entries = honest;
+      entries[k].side = true;
+      add("side entry on the grid" + at, &grid, entries);
+      entries[k].value = honest[k].value + off;
+      add("side entry above" + at, &grid, entries);
+      entries[k].value = honest[k].value - off;
+      add("side entry below" + at, &grid, entries);
+      entries[k].value = honest[k].value - unit;
+      add("side entry one step low" + at, &grid, entries);
+      if (k > 0) {
+        add("gap delta - 1/S on the grid" + at, &grid, shifted(k, -unit, false));
+        add("gap delta - 1/S off the grid" + at, &grid, [&] {
+          std::vector<VoteEntry> moved = shifted(0, off, true);
+          for (std::size_t j = k; j < moved.size(); ++j) moved[j].value -= unit;
+          return moved;
+        }());
+        entries = honest;
+        entries[k - 1].side = true;
+        entries[k - 1].value += unit;
+        add("side entry then grid entry 1/S close" + at, &grid, entries);
+      }
+      entries = honest;
+      entries.erase(entries.begin() + static_cast<std::ptrdiff_t>(k));
+      add("missing timely id" + at, &grid, entries);
+      entries = honest;
+      ++entries[k].id;
+      add("non-timely id in place of a timely one" + at, &grid, entries);
+    }
+    add("gap delta off the grid", &grid, shifted(0, off, true));
+    add("gap delta half off the grid", &grid, shifted(middle, off, true));
+
+    std::vector<VoteEntry> unsorted = honest;
+    std::swap(unsorted[0], unsorted[1]);
+    add("unsorted ids", &grid, unsorted);
+    unsorted[0].side = true;
+    add("unsorted ids, side entry", &grid, unsorted);
+    std::vector<VoteEntry> duplicate = honest;
+    duplicate[1].id = duplicate[0].id;
+    add("duplicate id", &grid, duplicate);
+    duplicate[1].side = true;
+    add("duplicate id, side entry", &grid, duplicate);
+
+    // Entry-count edge: timely ids plus non-timely ones (any value).
+    for (const int count : {n + t, n + t + 1}) {
+      for (const bool side : {false, true}) {
+        std::vector<VoteEntry> entries = honest;
+        for (int extra = 0; entries.size() < static_cast<std::size_t>(count); ++extra) {
+          entries.push_back({static_cast<sim::Id>(10 * n + 1 + extra), Rational(-100), side});
+        }
+        std::sort(entries.begin(), entries.end(),
+                  [](const VoteEntry& a, const VoteEntry& b) { return a.id < b.id; });
+        add(std::to_string(count) + " entries" + (side ? ", side extras" : ""), &grid, entries);
+      }
+    }
+    std::vector<VoteEntry> interleaved = honest;
+    interleaved.insert(interleaved.begin() + 1, VoteEntry{15, Rational(-3) + off});
+    add("non-timely entry out of rank order", &grid, interleaved);
+
+    add("width 0", nullptr, honest);
+    add("width 0, crowded", nullptr, shifted(last, -unit, false));
+    add("width 0, empty", nullptr, {});
+    add("another grid", &other_grid, honest);
+    add("another grid, crowded", &other_grid, shifted(middle, -unit, false));
+    add("another grid, side entry", &other_grid, shifted(last, off, true));
+
+    for (const bool validate : {true, false}) {
+      core::RenamingOptions options;
+      options.validate_votes = validate;
+      int admitted = 0;
+      for (const auto& [label, vote] : votes) {
+        SCOPED_TRACE("n=" + std::to_string(n) + (validate ? "" : " unvalidated") + ": " + label);
+        core::RankMap decoded;
+        const bool accepts = core::decode_vote(vote, params, decoded) &&
+                             (!validate || core::is_valid_ranks(timely, decoded, delta));
+        EXPECT_EQ(engine_rejected(params, options, iterations, timely, vote), accepts ? 0 : 1);
+        admitted += accepts ? 1 : 0;
+      }
+      // Both outcomes occur.
+      EXPECT_GT(admitted, 0);
+      EXPECT_LT(admitted, static_cast<int>(votes.size()));
+    }
+  }
+}
+
+TEST(FixedVotingEngine, OversizedRankEncodingStillRejected) {
+  // The last timely rank, carried exactly: 2^e + 2^-d encodes in
+  // 2d + e + 4 bits, so e = 10 and 11 with d = 2041 sit at the budget
+  // and one bit past it; 2^-4160 is denominator inflation far past it.
+  const sim::SystemParams params{.n = 4, .t = 1};
+  const int iterations = core::default_approximation_iterations(1);
+  const FixedSpec grid = numeric::derive_fixed_spec(4, 1, iterations);
+  const Rational delta = core::delta(params);
+  const std::set<sim::Id> timely{1, 2, 3, 4};
+  const auto sized = [](std::size_t e, std::size_t d) {
+    return Rational((BigInt(1) << (d + e)) + BigInt(1), BigInt(1) << d);
+  };
+  ASSERT_EQ(sized(10, 2041).encoded_bits(), core::kMaxRankBits);
+  ASSERT_EQ(sized(11, 2041).encoded_bits(), core::kMaxRankBits + 1);
+  const std::pair<Rational, bool> cases[] = {{sized(10, 2041), true},
+                                             {sized(11, 2041), false},
+                                             {Rational(BigInt(1), BigInt(1) << 4160), false}};
+  for (const auto& [value, admitted] : cases) {
+    std::vector<VoteEntry> entries;
+    for (sim::Id id = 1; id <= 3; ++id) entries.push_back({id, Rational(id) * delta});
+    entries.push_back({4, value});
+    const sim::RanksMsg vote = vote_of(&grid, entries);
+    ASSERT_EQ(vote.exacts.size(), 1u);
+    core::RankMap decoded;
+    EXPECT_EQ(core::decode_vote(vote, params, decoded), admitted) << value.encoded_bits();
+    EXPECT_EQ(engine_rejected(params, {}, iterations, timely, vote), admitted ? 0 : 1)
+        << value.encoded_bits();
+  }
+}
+
+TEST(FixedVotingEngine, OverlongFixedVoteRejected) {
+  // Lemma IV.3's cap: n + t entries are admitted, one more is rejected
+  // whole, by the engine and by decode_vote alike.
+  const sim::SystemParams params{.n = 4, .t = 1};
+  const int iterations = core::default_approximation_iterations(1);
+  const FixedSpec grid = numeric::derive_fixed_spec(4, 1, iterations);
+  const Rational delta = core::delta(params);
+  const std::set<sim::Id> timely{1, 2, 3, 4};
+  ASSERT_EQ(core::max_vote_entries(params), 5);
+  for (const int count : {5, 6}) {
+    std::vector<VoteEntry> entries;
+    for (sim::Id id = 1; id <= 4; ++id) entries.push_back({id, Rational(id) * delta});
+    for (sim::Id id = 1000; entries.size() < static_cast<std::size_t>(count); ++id) {
+      entries.push_back({id, Rational(0)});
+    }
+    const sim::RanksMsg vote = vote_of(&grid, entries);
+    ASSERT_TRUE(vote.exacts.empty());
+    core::RankMap decoded;
+    EXPECT_EQ(core::decode_vote(vote, params, decoded), count == 5);
+    EXPECT_EQ(engine_rejected(params, {}, iterations, timely, vote), count == 5 ? 0 : 1);
+  }
+}
+
+// ---------------------------------------------------------------------------
 // Exact lane differential: Byzantine votes off the grid, past its range,
 // without a grid or on another instance's grid drive the engine's exact
 // oracle lane, remainder overrides and foreign-grid admission; every
@@ -285,7 +457,6 @@ TEST(FixedVotingEngine, MalformedVoteLayoutRejected) {
 void oracle_step(const sim::SystemParams& params, const std::set<sim::Id>& timely,
                  const sim::Inbox& inbox, core::RankMap& ranks, std::set<sim::Id>& accepted,
                  int& rejected) {
-  const core::RenamingOptions options;
   std::map<sim::LinkIndex, core::RankMap> per_link;
   for (const sim::Delivery& d : inbox) {
     const std::optional<sim::Payload> wire = sim::decode(sim::encode(*d.payload));
@@ -297,7 +468,7 @@ void oracle_step(const sim::SystemParams& params, const std::set<sim::Id>& timel
       continue;
     }
     core::RankMap vote;
-    if (!core::decode_vote(*msg, params, options, vote) ||
+    if (!core::decode_vote(*msg, params, vote) ||
         !core::is_valid_ranks(timely, vote, core::delta(params))) {
       ++rejected;
       continue;
@@ -871,12 +1042,9 @@ TEST(ViewCache, EqualViewsShareOneStepPerRound) {
 TEST(ByzantineAACrossCheck, OffGridInboxKeepsKernelsInLockstep) {
   const sim::SystemParams params{.n = 7, .t = 2};
   const int rounds = 5;
-  aa::ByzantineAAProcess fixed(params, Rational::of(1, 3), rounds, std::size_t{1} << 16,
-                               core::RankKernel::kFixed);
-  aa::ByzantineAAProcess exact(params, Rational::of(1, 3), rounds, std::size_t{1} << 16,
-                               core::RankKernel::kExact);
-  aa::ByzantineAAProcess check(params, Rational::of(1, 3), rounds, std::size_t{1} << 16,
-                               core::RankKernel::kCheck);
+  aa::ByzantineAAProcess fixed(params, Rational::of(1, 3), rounds, core::RankKernel::kFixed);
+  aa::ByzantineAAProcess exact(params, Rational::of(1, 3), rounds, core::RankKernel::kExact);
+  aa::ByzantineAAProcess check(params, Rational::of(1, 3), rounds, core::RankKernel::kCheck);
   ASSERT_EQ(fixed.kernel(), core::RankKernel::kFixed);
 
   // Off-grid fractions (1/7, 1/11) mixed with extremes: the fixed lane

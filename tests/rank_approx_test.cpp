@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <random>
 
 #include "numeric/bigint.h"
@@ -36,7 +37,7 @@ RankMap ranks_of(std::initializer_list<std::pair<Id, Rational>> entries) {
 TEST(DecodeVote, AcceptsWellFormedSortedEntries) {
   const sim::RanksMsg msg = exact_ranks({{1, Rational(1)}, {5, Rational(2)}, {9, Rational(3)}});
   RankMap out;
-  EXPECT_TRUE(decode_vote(msg, kParams, {}, out));
+  EXPECT_TRUE(decode_vote(msg, kParams, out));
   EXPECT_EQ(out.size(), 3u);
   EXPECT_EQ(out.at(5), Rational(2));
 }
@@ -44,39 +45,47 @@ TEST(DecodeVote, AcceptsWellFormedSortedEntries) {
 TEST(DecodeVote, RejectsUnsortedIds) {
   const sim::RanksMsg msg = exact_ranks({{5, Rational(1)}, {1, Rational(2)}});
   RankMap out;
-  EXPECT_FALSE(decode_vote(msg, kParams, {}, out));
+  EXPECT_FALSE(decode_vote(msg, kParams, out));
 }
 
 TEST(DecodeVote, RejectsDuplicateIds) {
   const sim::RanksMsg msg = exact_ranks({{5, Rational(1)}, {5, Rational(2)}});
   RankMap out;
-  EXPECT_FALSE(decode_vote(msg, kParams, {}, out));
+  EXPECT_FALSE(decode_vote(msg, kParams, out));
 }
 
 TEST(DecodeVote, RejectsEntryCountSpam) {
   sim::RanksMsg msg;
-  for (int i = 0; i < kParams.n + kParams.t + 1; ++i) msg.push_exact(i + 1, Rational(i + 1));
+  for (int i = 0; i < max_vote_entries(kParams) + 1; ++i) msg.push_exact(i + 1, Rational(i + 1));
+  ASSERT_EQ(static_cast<int>(msg.ids.size()), kParams.n + kParams.t + 1);
   RankMap out;
-  EXPECT_FALSE(decode_vote(msg, kParams, {}, out));
-  // One fewer entry fits the bound.
+  EXPECT_FALSE(decode_vote(msg, kParams, out));
+  // One fewer entry, n + t, fits the bound.
   msg.ids.pop_back();
   msg.exacts.pop_back();
-  EXPECT_TRUE(decode_vote(msg, kParams, {}, out));
+  EXPECT_TRUE(decode_vote(msg, kParams, out));
+}
+
+/// 2^e + 2^-d: d + e + 1 numerator bits over d + 1 denominator bits, so
+/// encoded_bits() == 2d + e + 4.
+Rational sized_rank(int e, int d) {
+  return Rational((BigInt(1) << static_cast<std::size_t>(d + e)) + BigInt(1),
+                  BigInt(1) << static_cast<std::size_t>(d));
 }
 
 TEST(DecodeVote, RejectsOversizedRankEncodings) {
-  RenamingOptions options;
-  options.max_rank_bits = 64;
-  const sim::RanksMsg msg = exact_ranks({{1, Rational(BigInt(1), BigInt(1) << 128)}});
+  const Rational largest = sized_rank(10, 2041);
+  const Rational over = sized_rank(11, 2041);
+  ASSERT_EQ(largest.encoded_bits(), kMaxRankBits);
+  ASSERT_EQ(over.encoded_bits(), kMaxRankBits + 1);
   RankMap out;
-  EXPECT_FALSE(decode_vote(msg, kParams, options, out));
-  const sim::RanksMsg small = exact_ranks({{1, Rational::of(1, 3)}});
-  EXPECT_TRUE(decode_vote(small, kParams, options, out));
+  EXPECT_TRUE(decode_vote(exact_ranks({{1, Rational::of(1, 3)}, {2, largest}}), kParams, out));
+  EXPECT_FALSE(decode_vote(exact_ranks({{1, Rational::of(1, 3)}, {2, over}}), kParams, out));
 }
 
 TEST(DecodeVote, AcceptsEmptyVote) {
   RankMap out;
-  EXPECT_TRUE(decode_vote(sim::RanksMsg{}, kParams, {}, out));
+  EXPECT_TRUE(decode_vote(sim::RanksMsg{}, kParams, out));
   EXPECT_TRUE(out.empty());
 }
 
@@ -132,36 +141,45 @@ TEST(IsValid, EmptyTimelyAcceptsAnything) {
 }
 
 // ---------------------------------------------------------------------------
-// select_t
+// select_t, averaged by trimmed_mean
 // ---------------------------------------------------------------------------
 
 TEST(SelectT, PicksSmallestAndEveryTth) {
-  const std::vector<Rational> sorted{Rational(1), Rational(2), Rational(3),
-                                     Rational(4), Rational(5), Rational(6)};
-  const auto chosen = select_t(sorted, 2);
-  ASSERT_EQ(chosen.size(), 3u);  // positions 0, 2, 4
-  EXPECT_EQ(chosen[0], Rational(1));
-  EXPECT_EQ(chosen[1], Rational(3));
-  EXPECT_EQ(chosen[2], Rational(5));
+  // n = 10, t = 2: the trimmed middle is sorted positions 2..7, and
+  // select_t takes its positions 0, 2, 4, i.e. ballot positions 2, 4, 6.
+  std::vector<Rational> ballot;
+  for (const int value : {9, 3, 0, 7, 1, 8, 5, 2, 6, 4}) ballot.emplace_back(value * value);
+  EXPECT_EQ(trimmed_mean(ballot, 2), Rational::of(4 + 16 + 36, 3));
+  EXPECT_TRUE(std::is_sorted(ballot.begin(), ballot.end()));  // sorted in place
 }
 
 TEST(SelectT, CountMatchesSigmaFormula) {
   // |select_t| on N-2t elements is floor((N-2t-1)/t)+1, which is
-  // sigma_t = floor((N-2t)/t)+1 whenever t does not divide N-2t.
+  // sigma_t = floor((N-2t)/t)+1 whenever t does not divide N-2t. On the
+  // ballot 0, 1, ..., N-1 the mean of positions t, 2t, ..., ct is
+  // t(c+1)/2, which pins the count c.
   for (int n = 4; n <= 40; ++n) {
     for (int t = 1; 3 * t < n; ++t) {
-      std::vector<Rational> sorted;
-      for (int i = 0; i < n - 2 * t; ++i) sorted.emplace_back(i);
-      const int count = static_cast<int>(select_t(sorted, t).size());
-      EXPECT_EQ(count, (n - 2 * t - 1) / t + 1) << "n=" << n << " t=" << t;
+      std::vector<Rational> ballot;
+      for (int i = n - 1; i >= 0; --i) ballot.emplace_back(i);
+      const int count = (n - 2 * t - 1) / t + 1;
+      EXPECT_EQ(trimmed_mean(ballot, t), Rational::of(t * (count + 1), 2))
+          << "n=" << n << " t=" << t;
       EXPECT_GE(count, 2) << "contraction requires at least two points";
     }
   }
 }
 
 TEST(SelectT, ZeroTReturnsEverything) {
-  const std::vector<Rational> sorted{Rational(1), Rational(2)};
-  EXPECT_EQ(select_t(sorted, 0).size(), 2u);
+  std::vector<Rational> ballot{Rational(2), Rational(1), Rational(6)};
+  EXPECT_EQ(trimmed_mean(ballot, 0), Rational(3));
+}
+
+TEST(InitialRanks, PositionTimesDelta) {
+  const RankMap ranks = initial_ranks({42, 7, 1000}, kDelta);
+  EXPECT_EQ(ranks,
+            ranks_of({{7, kDelta}, {42, kDelta * Rational(2)}, {1000, kDelta * Rational(3)}}));
+  EXPECT_TRUE(initial_ranks({}, kDelta).empty());
 }
 
 // ---------------------------------------------------------------------------
@@ -299,7 +317,7 @@ TEST(EncodeVote, RoundTripsThroughDecode) {
   const RankMap original =
       ranks_of({{3, Rational::of(7, 2)}, {8, Rational(5)}, {11, Rational::of(21, 4)}});
   RankMap decoded;
-  ASSERT_TRUE(decode_vote(encode_vote(original), kParams, {}, decoded));
+  ASSERT_TRUE(decode_vote(encode_vote(original), kParams, decoded));
   EXPECT_EQ(decoded, original);
 }
 

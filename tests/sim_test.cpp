@@ -5,6 +5,7 @@
 #include <memory>
 #include <set>
 
+#include "sim/codec.h"
 #include "sim/network.h"
 #include "sim/payload.h"
 #include "sim/process.h"
@@ -324,10 +325,9 @@ TEST(Payload, WireBitsReflectContentSize) {
   one.push_exact(1, numeric::Rational(1));
   RanksMsg two = one;
   two.push_exact(2, numeric::Rational(2));
-  EXPECT_LT(wire_bits(IdMsg{1}), wire_bits(one));
-  EXPECT_GT(wire_bits(two), wire_bits(one));
-  MultiEchoMsg echo{{1, 2, 3}};
-  EXPECT_EQ(wire_bits(echo), 8u + 32u + 3u * 64u);
+  EXPECT_LT(encoded_bits(IdMsg{1}), encoded_bits(one));
+  EXPECT_GT(encoded_bits(two), encoded_bits(one));
+  EXPECT_GT(encoded_bits(MultiEchoMsg{{1, 2, 3}}), encoded_bits(MultiEchoMsg{{1, 2}}));
 }
 
 TEST(Payload, DescribeNamesEveryAlternative) {
