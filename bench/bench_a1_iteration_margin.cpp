@@ -39,9 +39,10 @@ Probe probe(obs::BenchReporter& reporter, int n, int t, int iterations, const ch
   config.seed = 1;
   Probe result;
   const int last = 4 + iterations;
-  config.observer = [&result, last](sim::Round round, const sim::Network& net) {
+  obs::RoundProbe round_probe([&result, last](sim::Round round, const sim::Network& net) {
     if (round == last) result.spread = core::max_rank_spread(net);
-  };
+  });
+  config.observers.push_back(&round_probe);
   result.all_ok = reporter
                       .run(config, "N=" + std::to_string(n) + " t=" + std::to_string(t) + " k=" +
                                        std::to_string(iterations) + " adversary=" + adversary)

@@ -39,7 +39,7 @@ Probe probe(obs::BenchReporter& reporter, int n, int t, bool validate) {
   Probe result;
   result.min_gap = Rational(1'000'000);
   const int last = core::expected_steps(core::Algorithm::kOpRenaming, config.params);
-  config.observer = [&result, last](sim::Round round, const sim::Network& net) {
+  obs::RoundProbe round_probe([&result, last](sim::Round round, const sim::Network& net) {
     if (round != last) return;
     for (sim::ProcessIndex i = 0; i < net.size(); ++i) {
       if (net.is_byzantine(i)) continue;
@@ -52,7 +52,8 @@ Probe probe(obs::BenchReporter& reporter, int n, int t, bool validate) {
         previous = &it->second;
       }
     }
-  };
+  });
+  config.observers.push_back(&round_probe);
   const core::ScenarioResult outcome =
       reporter.run(config, "N=" + std::to_string(n) + " t=" + std::to_string(t) +
                                " validate=" + (validate ? "on" : "off"));

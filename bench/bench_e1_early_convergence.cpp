@@ -42,10 +42,11 @@ int rounds_to_margin(obs::BenchReporter& reporter, int n, int t, int f,
 
   const Rational margin = Rational::of(1, 6 * (n + t));
   int converged_at = -1;
-  config.observer = [&](sim::Round round, const sim::Network& net) {
+  obs::RoundProbe probe([&](sim::Round round, const sim::Network& net) {
     if (round < 4 || converged_at >= 0) return;
     if (core::max_rank_spread(net) < margin) converged_at = round - 4;
-  };
+  });
+  config.observers.push_back(&probe);
   (void)reporter.run(config, "N=" + std::to_string(n) + " t=" + std::to_string(t) + " f=" +
                                  std::to_string(f) + " adversary=" + adversary);
   return converged_at;

@@ -47,17 +47,25 @@ int main() {
   };
   spec.master_seed = 3;
 
-  // One spread series per run, owned by its run index: the configure
-  // hook runs on worker threads, but distinct runs write distinct slots.
+  // One spread series and one probe per run, owned by its run index: the
+  // configure hook runs on worker threads, but distinct runs write
+  // distinct slots.
   std::vector<std::vector<Rational>> spreads(spec.scenarios.size());
-  exp::CampaignOptions options;
-  options.sample_probes = true;
-  options.configure = [&spreads](std::size_t run_index, core::ScenarioConfig& config) {
-    config.observer = [&spreads, run_index](sim::Round round, const sim::Network& net) {
+  const auto record_spreads = [&spreads](std::size_t run_index) {
+    return obs::RoundProbe([&spreads, run_index](sim::Round round, const sim::Network& net) {
       if (round >= 4) {
         spreads[run_index].push_back(core::max_rank_spread(net, /*timely_only=*/true));
       }
-    };
+    });
+  };
+  std::vector<decltype(record_spreads(0))> probes;
+  for (std::size_t run_index = 0; run_index < spreads.size(); ++run_index) {
+    probes.push_back(record_spreads(run_index));
+  }
+  exp::CampaignOptions options;
+  options.sample_probes = true;
+  options.configure = [&probes](std::size_t run_index, core::ScenarioConfig& config) {
+    config.observers.push_back(&probes[run_index]);
   };
   const exp::CampaignResult result = reporter.run_campaign(spec, options);
 

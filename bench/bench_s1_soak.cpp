@@ -50,7 +50,7 @@ int main() {
   obs::BenchReporter reporter("bench_s1");
   // Thousands of executions: keep the counters, skip the per-round
   // rational probes so the soak's runtime stays dominated by the runs.
-  reporter.telemetry().set_probes_enabled(false);
+  reporter.set_probes_enabled(false);
 
   for (const GridPoint& point : grid) {
     for (const std::string& adversary : adversary::adversary_names()) {

@@ -29,9 +29,10 @@ int main() {
       config.adversary = adversary;
       config.seed = 5;
       Rational spread;
-      config.observer = [&spread](sim::Round round, const sim::Network& net) {
+      obs::RoundProbe probe([&spread](sim::Round round, const sim::Network& net) {
         if (round == 8) spread = core::max_rank_spread(net);
-      };
+      });
+      config.observers.push_back(&probe);
       const core::ScenarioResult result = reporter.run(
           config,
           "N=" + std::to_string(n) + " t=" + std::to_string(t) + " adversary=" + adversary);

@@ -33,9 +33,10 @@ int main() {
       config.adversary = adversary;
       config.seed = 6;
       core::FastNameStats stats;
-      config.observer = [&stats](sim::Round round, const sim::Network& net) {
+      obs::RoundProbe probe([&stats](sim::Round round, const sim::Network& net) {
         if (round == 2) stats = core::fast_name_stats(net);
-      };
+      });
+      config.observers.push_back(&probe);
       const core::ScenarioResult result = reporter.run(
           config,
           "N=" + std::to_string(n) + " t=" + std::to_string(t) + " adversary=" + adversary);

@@ -53,25 +53,6 @@ enum class Algorithm {
   return "unknown";
 }
 
-/// Parses a stable telemetry/report name (as printed by to_string) back
-/// to its Algorithm. Consumers of RunInfo::algorithm (the metrics
-/// registry's phase classifier, the complexity auditor) dispatch through
-/// this; unlike algorithm_from_token it accepts every algorithm,
-/// substrates included, because reports can mention any of them.
-[[nodiscard]] constexpr std::optional<Algorithm> algorithm_from_name(
-    std::string_view name) noexcept {
-  constexpr Algorithm kAll[] = {
-      Algorithm::kOpRenaming,        Algorithm::kOpRenamingConstantTime,
-      Algorithm::kFastRenaming,      Algorithm::kCrashRenaming,
-      Algorithm::kConsensusRenaming, Algorithm::kBitRenaming,
-      Algorithm::kTranslatedRenaming, Algorithm::kScalarAA,
-  };
-  for (const Algorithm algorithm : kAll) {
-    if (name == to_string(algorithm)) return algorithm;
-  }
-  return std::nullopt;
-}
-
 /// Parses a short token (as printed by cli_token) back to its Algorithm.
 /// kScalarAA is a substrate, not a user-facing renaming protocol, so its
 /// token is deliberately not accepted here. The single parser both the

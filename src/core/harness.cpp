@@ -1,10 +1,14 @@
 #include "core/harness.h"
 
 #include <algorithm>
+#include <chrono>
+#include <cstdio>
+#include <limits>
 #include <optional>
 #include <set>
 #include <stdexcept>
 #include <utility>
+#include <vector>
 
 #include "adversary/adversary.h"
 #include "adversary/strategies/forgery.h"
@@ -14,24 +18,22 @@
 #include "baselines/crash_renaming.h"
 #include "core/fast_renaming.h"
 #include "core/op_renaming.h"
+#include "core/phase.h"
+#include "core/probe.h"
 #include "core/voting_kernel.h"
-#include "obs/prof/phase_profile.h"
 #include "obs/prof/profiler.h"
 #include "obs/telemetry.h"
+#include "sim/network.h"
 #include "sim/rng.h"
 #include "translate/crash_to_byzantine.h"
 
 namespace byzrename::core {
 
-namespace {
-
-/// Correct behaviors sometimes need the process's physical index (the
-/// consensus baseline runs in the sender-authenticated model). This
-/// overload is internal; the public make_correct_behavior forwards -1.
-std::unique_ptr<sim::ProcessBehavior> make_behavior(Algorithm algorithm,
-                                                    const sim::SystemParams& params, sim::Id id,
-                                                    const RenamingOptions& options,
-                                                    sim::ProcessIndex index) {
+std::unique_ptr<sim::ProcessBehavior> make_correct_behavior(Algorithm algorithm,
+                                                            const sim::SystemParams& params,
+                                                            sim::Id id,
+                                                            const RenamingOptions& options,
+                                                            sim::ProcessIndex index) {
   switch (algorithm) {
     case Algorithm::kOpRenaming:
       return std::make_unique<OpRenamingProcess>(params, id, options);
@@ -73,15 +75,177 @@ std::unique_ptr<sim::ProcessBehavior> make_behavior(Algorithm algorithm,
   throw std::invalid_argument("make_correct_behavior: unknown algorithm");
 }
 
-}  // namespace
+namespace {
 
-std::unique_ptr<sim::ProcessBehavior> make_correct_behavior(Algorithm algorithm,
-                                                            const sim::SystemParams& params,
-                                                            sim::Id id,
-                                                            const RenamingOptions& options,
-                                                            sim::ProcessIndex index) {
-  return make_behavior(algorithm, params, id, options, index);
+/// Voting iterations a run resolves to; -1 for protocols without them.
+int resolved_iterations(const ScenarioConfig& config) {
+  switch (config.algorithm) {
+    case Algorithm::kOpRenamingConstantTime:
+      return kConstantTimeIterations;
+    case Algorithm::kOpRenaming:
+    case Algorithm::kCrashRenaming:
+    case Algorithm::kTranslatedRenaming:
+      return config.options.approximation_iterations >= 0
+                 ? config.options.approximation_iterations
+                 : default_approximation_iterations(config.params.t);
+    default:
+      return -1;
+  }
 }
+
+/// |accepted| extremes and rejected votes/echoes over the correct Alg. 1 /
+/// Alg. 4 processes; Alg. 1 reports its selection's accepted set when
+/// @p selection, its live one otherwise.
+struct Acceptance {
+  bool any_op = false;
+  bool any_fast = false;
+  std::size_t min = std::numeric_limits<std::size_t>::max();
+  std::size_t max = 0;
+  long rejected = 0;
+};
+
+Acceptance scan_acceptance(const sim::Network& network, bool selection) {
+  Acceptance scan;
+  const auto add = [&scan](std::size_t accepted, long rejected) {
+    scan.min = std::min(scan.min, accepted);
+    scan.max = std::max(scan.max, accepted);
+    scan.rejected += rejected;
+  };
+  for (sim::ProcessIndex i = 0; i < network.size(); ++i) {
+    if (network.is_byzantine(i)) continue;
+    const sim::ProcessBehavior& behavior = network.behavior(i);
+    if (const auto* op = dynamic_cast<const OpRenamingProcess*>(&behavior)) {
+      scan.any_op = true;
+      add((selection ? op->selection_accepted() : op->accepted()).size(), op->rejected_votes());
+    } else if (const auto* fast = dynamic_cast<const FastRenamingProcess*>(&behavior)) {
+      scan.any_fast = true;
+      add(fast->accepted().size(), fast->rejected_echoes());
+    }
+  }
+  return scan;
+}
+
+/// Fills @p sample's counters, acceptance figures and (with @p probes)
+/// the exact-rational probes from the network after a round.
+void sample_round(obs::RoundSample& sample, const sim::Network& network, bool probes) {
+  if (!network.metrics().per_round().empty()) {
+    sample.metrics = network.metrics().per_round().back();
+  }
+  const Acceptance acceptance = scan_acceptance(network, /*selection=*/false);
+  if (acceptance.any_op || acceptance.any_fast) {
+    sample.has_acceptance = true;
+    sample.min_accepted = acceptance.min;
+    sample.max_accepted = acceptance.max;
+    sample.rejected_votes = acceptance.rejected;
+  }
+
+  if (probes && acceptance.any_op) {
+    sample.has_rank_probes = true;
+    const numeric::Rational spread = max_rank_spread(network, /*timely_only=*/true);
+    sample.rank_spread_exact = spread.to_string();
+    sample.rank_spread = spread.to_double();
+    const numeric::Rational gap = min_adjacent_rank_gap(network);
+    sample.adjacent_gap_exact = gap.to_string();
+    sample.adjacent_gap = gap.to_double();
+  }
+  if (probes && acceptance.any_fast && sample.round >= 2) {
+    const FastNameStats stats = fast_name_stats(network);
+    if (stats.min_gap != std::numeric_limits<sim::Name>::max()) {
+      sample.has_fast_probes = true;
+      sample.fast_max_discrepancy = stats.max_discrepancy;
+      sample.fast_min_gap = stats.min_gap;
+    }
+  }
+}
+
+/// Round bracket that opens one profiler scope per round, named by the
+/// core/phase.h taxonomy — "selection", "echo", "ready", "voting k=<k>",
+/// "decision k=<k>" (matching phase_label), or "protocol" for
+/// unmodeled baselines. The harness puts it first on the run's observer
+/// list under its "run" scope, so paths come out as "run;voting k=2".
+///
+/// The label is formatted into a fixed buffer: after each distinct
+/// round label has been interned once, per-round bracketing allocates
+/// nothing.
+class PhaseRoundProfiler final : public obs::RunObserver {
+ public:
+  /// @p iterations is the resolved voting iteration count
+  /// (round_phase's contract; pass <= 0 when not applicable).
+  PhaseRoundProfiler(obs::prof::Profiler& profiler, Algorithm algorithm, int iterations) noexcept
+      : profiler_(profiler), algorithm_(algorithm), iterations_(iterations) {}
+
+  void on_round_begin(sim::Round round) override {
+    const RoundPhase classified = round_phase(algorithm_, round, iterations_);
+    if (classified.voting_iteration > 0) {
+      char label[32];
+      std::snprintf(label, sizeof(label), "%s k=%d", to_string(classified.phase),
+                    classified.voting_iteration);
+      profiler_.enter(label);
+    } else {
+      profiler_.enter(to_string(classified.phase));
+    }
+  }
+
+  void on_round_end(sim::Round) override { profiler_.exit(); }
+
+ private:
+  obs::prof::Profiler& profiler_;
+  Algorithm algorithm_;
+  int iterations_;
+};
+
+/// Drives a run's observer list from the runner's two seams: the
+/// RoundHook bracket around Network::run_round, and the per-round
+/// callback after it, which fills one sample for the whole list.
+class ObserverList final : public sim::RoundHook {
+ public:
+  explicit ObserverList(std::vector<obs::RunObserver*> observers)
+      : observers_(std::move(observers)) {
+    for (const obs::RunObserver* observer : observers_) {
+      sampling_ = std::max(sampling_, observer->sampling());
+    }
+  }
+
+  void start(const obs::RunInfo& info) {
+    run_start_ = std::chrono::steady_clock::now();
+    last_round_ = run_start_;
+    for (obs::RunObserver* observer : observers_) observer->on_run_start(info);
+  }
+
+  void on_round_begin(sim::Round round) override {
+    for (obs::RunObserver* observer : observers_) observer->on_round_begin(round);
+  }
+
+  void on_round_end(sim::Round round) override {
+    for (auto it = observers_.rbegin(); it != observers_.rend(); ++it) (*it)->on_round_end(round);
+  }
+
+  void observe(sim::Round round, const sim::Network& network) {
+    obs::RoundSample sample;
+    sample.round = round;
+    if (sampling_ != obs::Sampling::kNone) {
+      const auto now = std::chrono::steady_clock::now();
+      sample.wall_seconds = std::chrono::duration<double>(now - last_round_).count();
+      last_round_ = now;
+      sample_round(sample, network, sampling_ == obs::Sampling::kProbes);
+    }
+    for (obs::RunObserver* observer : observers_) observer->on_round(sample, network);
+  }
+
+  void end(const ScenarioResult& result) {
+    const std::chrono::duration<double> wall = std::chrono::steady_clock::now() - run_start_;
+    const obs::RunSummary summary{result, wall.count()};
+    for (obs::RunObserver* observer : observers_) observer->on_run_end(summary);
+  }
+
+ private:
+  std::vector<obs::RunObserver*> observers_;
+  obs::Sampling sampling_ = obs::Sampling::kNone;
+  std::chrono::steady_clock::time_point run_start_{};
+  std::chrono::steady_clock::time_point last_round_{};
+};
+
+}  // namespace
 
 sim::Name namespace_size(Algorithm algorithm, const sim::SystemParams& params) {
   const auto n = static_cast<sim::Name>(params.n);
@@ -174,10 +338,21 @@ ScenarioResult run_scenario(const ScenarioConfig& config) {
   }
   const int correct_count = params.n - faults;
 
-  // Profiler attachment: ambient for caller-defined scopes under the
-  // call tree, plus the harness's own setup/run/check top-level scopes.
-  // Everything below is a read-only observation — see ScenarioConfig.
-  obs::prof::ThreadProfilerGuard profiler_guard(config.profiler);
+  // The run's observer list: the profiler's phase bracket first, then
+  // the caller's observers in order. Built before the setup scope opens,
+  // so its one allocation lands in no profile node. Empty costs nothing.
+  const int iterations = resolved_iterations(config);
+  std::optional<PhaseRoundProfiler> phase_bracket;
+  std::optional<ObserverList> observers;
+  if (config.profiler != nullptr || !config.observers.empty()) {
+    std::vector<obs::RunObserver*> list;
+    list.reserve(config.observers.size() + 1);
+    if (config.profiler != nullptr) {
+      list.push_back(&phase_bracket.emplace(*config.profiler, config.algorithm, iterations));
+    }
+    list.insert(list.end(), config.observers.begin(), config.observers.end());
+    observers.emplace(std::move(list));
+  }
   obs::prof::Scope setup_scope(config.profiler, "setup");
 
   // Ids: correct processes sit at indices 0..correct_count-1 in id order;
@@ -215,8 +390,8 @@ ScenarioResult run_scenario(const ScenarioConfig& config) {
   std::vector<std::unique_ptr<sim::ProcessBehavior>> behaviors;
   behaviors.reserve(static_cast<std::size_t>(params.n));
   for (int i = 0; i < correct_count; ++i) {
-    behaviors.push_back(make_behavior(config.algorithm, params, correct_ids[static_cast<std::size_t>(i)],
-                                      options, i));
+    behaviors.push_back(make_correct_behavior(
+        config.algorithm, params, correct_ids[static_cast<std::size_t>(i)], options, i));
   }
 
   adversary::AdversaryEnv env;
@@ -274,8 +449,8 @@ ScenarioResult run_scenario(const ScenarioConfig& config) {
             if (i < 0 || i >= correct_count) {
               throw std::logic_error("restart factory: index out of correct range");
             }
-            return make_behavior(algorithm, params, correct_ids[static_cast<std::size_t>(i)],
-                                 options, i);
+            return make_correct_behavior(
+                algorithm, params, correct_ids[static_cast<std::size_t>(i)], options, i);
           });
     }
   }
@@ -283,50 +458,32 @@ ScenarioResult run_scenario(const ScenarioConfig& config) {
   ScenarioResult result;
   result.target_namespace = namespace_size(config.algorithm, params);
   const int budget = expected_steps(config.algorithm, params, options) + config.extra_rounds;
-  const bool uses_iterations = config.algorithm == Algorithm::kOpRenaming ||
-                               config.algorithm == Algorithm::kOpRenamingConstantTime ||
-                               config.algorithm == Algorithm::kCrashRenaming ||
-                               config.algorithm == Algorithm::kTranslatedRenaming;
-  const int resolved_iterations = !uses_iterations ? -1
-                                  : options.approximation_iterations >= 0
-                                      ? options.approximation_iterations
-                                      : default_approximation_iterations(params.t);
-
-  // Fan the runner's single observer slot out to the caller's probe and
-  // the telemetry sampler; with neither attached the run pays nothing.
-  obs::ObserverHub hub;
-  hub.add(config.observer);
-  obs::Telemetry* telemetry =
-      config.telemetry != nullptr && config.telemetry->active() ? config.telemetry : nullptr;
-  if (telemetry != nullptr) {
+  setup_scope.close();
+  if (observers) {
     obs::RunInfo info;
-    info.algorithm = std::string(to_string(config.algorithm));
+    info.algorithm = config.algorithm;
     info.n = params.n;
     info.t = params.t;
     info.faults = faults;
     info.adversary = config.adversary;
     info.seed = config.seed;
-    info.iterations = resolved_iterations;
+    info.iterations = iterations;
     info.validate_votes = options.validate_votes;
     info.target_namespace = result.target_namespace;
     info.round_budget = budget;
-    info.label = config.telemetry_label;
     if (!config.fault_plan.empty()) info.fault_plan = sim::to_spec(config.fault_plan);
-    telemetry->begin_run(std::move(info));
-    hub.add(telemetry->round_observer());
+    observers->start(info);
   }
-  setup_scope.close();
   {
-    // Per-round phase bracketing under a "run" scope: the hook fires
-    // inside run_round only, so observer/telemetry cost stays out of
-    // the phase nodes (it lands in "run" self time instead).
+    // Phase brackets fire inside run_round's span only, so sampling and
+    // observer cost stay out of the phase nodes (they land in "run" self
+    // time instead).
     obs::prof::Scope run_scope(config.profiler, "run");
-    std::optional<obs::prof::PhaseRoundProfiler> phase_hook;
-    if (config.profiler != nullptr) {
-      phase_hook.emplace(*config.profiler, config.algorithm, resolved_iterations);
-    }
-    result.run = sim::run_to_completion(network, budget, hub.as_observer(),
-                                        phase_hook ? &*phase_hook : nullptr);
+    const auto observe = [&observers](sim::Round round, const sim::Network& net) {
+      observers->observe(round, net);
+    };
+    result.run = observers ? sim::run_to_completion(network, budget, observe, &*observers)
+                           : sim::run_to_completion(network, budget);
   }
   obs::prof::Scope check_scope(config.profiler, "check");
 
@@ -338,22 +495,12 @@ ScenarioResult run_scenario(const ScenarioConfig& config) {
   }
   result.report = check_renaming(result.named, result.target_namespace);
 
-  result.min_accepted = static_cast<std::size_t>(-1);
-  for (int i = 0; i < correct_count; ++i) {
-    const sim::ProcessBehavior& behavior = network.behavior(i);
-    if (const auto* op = dynamic_cast<const OpRenamingProcess*>(&behavior)) {
-      result.max_accepted = std::max(result.max_accepted, op->selection_accepted().size());
-      result.min_accepted = std::min(result.min_accepted, op->selection_accepted().size());
-      result.total_rejected += op->rejected_votes();
-    } else if (const auto* fast = dynamic_cast<const FastRenamingProcess*>(&behavior)) {
-      result.max_accepted = std::max(result.max_accepted, fast->accepted().size());
-      result.min_accepted = std::min(result.min_accepted, fast->accepted().size());
-      result.total_rejected += fast->rejected_echoes();
-    }
-  }
-  if (result.min_accepted == static_cast<std::size_t>(-1)) result.min_accepted = 0;
+  const Acceptance acceptance = scan_acceptance(network, /*selection=*/true);
+  result.max_accepted = acceptance.max;
+  result.min_accepted = acceptance.any_op || acceptance.any_fast ? acceptance.min : 0;
+  result.total_rejected = acceptance.rejected;
   check_scope.close();
-  if (telemetry != nullptr) telemetry->end_run(result);
+  if (observers) observers->end(result);
   return result;
 }
 

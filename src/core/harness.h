@@ -15,7 +15,7 @@
 #include "trace/event_log.h"
 
 namespace byzrename::obs {
-class Telemetry;
+class RunObserver;
 }  // namespace byzrename::obs
 
 namespace byzrename::obs::prof {
@@ -63,26 +63,21 @@ struct ScenarioConfig {
   RenamingOptions options;
   /// Extra safety margin on the round budget (0 = exact expected_steps).
   int extra_rounds = 0;
-  /// Single-slot per-round hook, kept for existing probes; composes with
-  /// telemetry through the obs::ObserverHub the harness builds.
-  sim::RoundObserver observer;
+  /// Observers of the run (obs/telemetry.h): non-owning, called in list
+  /// order, read-only (a hook may only throw to abort the run). Each
+  /// round's sample is filled once, to the level the most demanding
+  /// observer declares. Empty (the default) costs nothing: no RunInfo,
+  /// no sample, no allocation.
+  std::vector<obs::RunObserver*> observers;
   /// Optional structured event trace (sends/deliveries/decisions);
   /// O(N^2) events per round, for debugging-scale scenarios only.
   trace::EventLog* event_log = nullptr;
-  /// Optional telemetry hub (obs/telemetry.h). When attached and it has
-  /// sinks, the harness samples per-round counters/probes/timers and
-  /// reports the finished run; when null or sink-less the run costs
-  /// exactly what it would without the telemetry layer.
-  obs::Telemetry* telemetry = nullptr;
-  /// Free-form label copied into telemetry reports (bench row id etc).
-  std::string telemetry_label;
   /// Optional profiler (obs/prof/profiler.h). When attached the harness
-  /// opens "setup" / "run" / "check" scopes, brackets every round with
-  /// its phase scope ("run;voting k=2", core/phase.h taxonomy), and
-  /// installs the profiler as the thread's ambient profiler so
-  /// caller-defined prof::AmbientScope sites report into the same tree.
-  /// Strictly read-only like telemetry: attaching one cannot change any
-  /// run result. One profiler instruments one run at a time (its scope
+  /// opens "setup" / "run" / "check" scopes and puts a phase bracket
+  /// first on the run's observer list, so every round is timed under its
+  /// phase scope ("run;voting k=2", core/phase.h taxonomy). Strictly
+  /// read-only like the observers: attaching one cannot change any run
+  /// result. One profiler instruments one run at a time (its scope
   /// stack is per-run state); campaign workers attach a fresh local one
   /// per run. Null costs nothing.
   obs::prof::Profiler* profiler = nullptr;
@@ -124,11 +119,11 @@ struct ScenarioResult {
 ///  - all randomness flows from ScenarioConfig::seed through explicitly
 ///    seeded sim::Rng instances local to the run.
 ///
-/// The caller-supplied attachments are the exception: observer,
-/// event_log, telemetry, and profiler are invoked on the calling thread and must
-/// not be shared across concurrent runs unless they synchronize
-/// internally (obs::RunReportSink buffers per-run state — one sink per
-/// in-flight run; see obs/run_report.h). Anyone adding a cache or
+/// The caller-supplied attachments are the exception: observers,
+/// event_log and profiler are invoked on the calling thread and must not
+/// be shared across concurrent runs unless they synchronize internally
+/// (obs::RunReportSink buffers per-run state — one sink per in-flight
+/// run; see obs/run_report.h). Anyone adding a cache or
 /// static to code under this call tree must keep it either const or
 /// thread-local, or the campaign engine's determinism guarantee breaks.
 [[nodiscard]] ScenarioResult run_scenario(const ScenarioConfig& config);

@@ -14,7 +14,6 @@
 #include "exp/repro.h"
 #include "obs/prof/profiler.h"
 #include "obs/run_report.h"
-#include "obs/telemetry.h"
 #include "sim/rng.h"
 
 namespace byzrename::exp {
@@ -243,24 +242,22 @@ CampaignResult run_campaign(const CampaignSpec& spec, const CampaignOptions& opt
     const auto start = std::chrono::steady_clock::now();
     for (record.attempts = 1; record.attempts <= max_attempts; ++record.attempts) {
       core::ScenarioConfig config = base_config;
-      // The watchdog wraps whatever observer `configure` installed, so a
-      // hang inside a caller-attached probe is caught too. The deadline
+      // The watchdog follows whatever observers `configure` installed, so
+      // a hang inside a caller-attached probe is caught too. The deadline
       // starts per attempt.
+      std::optional<Watchdog> watchdog;
       if (options.run_timeout_seconds > 0.0) {
-        config.observer = with_deadline(std::move(config.observer),
-                                        options.run_timeout_seconds);
+        config.observers.push_back(&watchdog.emplace(options.run_timeout_seconds));
       }
-      // Per-attempt telemetry stack on this worker's frame; the sinks
-      // write whole lines under runs_out_mutex, so parallel runs cannot
+      // Per-attempt run report on this worker's frame; the sinks write
+      // whole lines under runs_out_mutex, so parallel runs cannot
       // interleave partial JSONL.
-      obs::Telemetry telemetry;
       std::optional<obs::RunReportSink> sink;
       if (options.runs_out != nullptr) {
         sink.emplace(*options.runs_out, options.runs_bench, runs_mutex);
-        telemetry.add_sink(*sink);
-        telemetry.set_probes_enabled(options.sample_probes);
-        config.telemetry = &telemetry;
-        config.telemetry_label = cell_key(cell) + "/rep" + std::to_string(rep);
+        sink->set_probes_enabled(options.sample_probes);
+        sink->set_label(cell_key(cell) + "/rep" + std::to_string(rep));
+        config.observers.push_back(&*sink);
       }
       std::optional<obs::prof::Profiler> profiler;
       if (options.profile) {

@@ -226,7 +226,7 @@ struct CampaignOptions {
   /// are as deterministic as the cell stats — CI diffs --threads 1
   /// against --threads 8 byte-for-byte.
   bool round_stats = false;
-  /// Per-run cooperative watchdog (exp/repro.h with_deadline); 0
+  /// Per-run cooperative watchdog (exp/repro.h Watchdog); 0
   /// disables. A timed-out run is retried, then quarantined. NOTE:
   /// timeouts depend on wall clocks, so a campaign recorded for
   /// byte-comparison must run without one.
@@ -253,10 +253,11 @@ struct CampaignOptions {
   /// partial result returns with cancelled (and interrupted) set.
   const std::atomic<bool>* cancel = nullptr;
   /// Per-run hooks, invoked from worker threads. `configure` may attach
-  /// observers or tweak the config before the run; `inspect` sees the
-  /// full ScenarioResult right after it. Both are called concurrently
-  /// for distinct run indices and must not share unsynchronized state
-  /// across indices.
+  /// observers (which must outlive the run; the watchdog and the
+  /// runs_out sink follow them on the list) or tweak the config before
+  /// the run; `inspect` sees the full ScenarioResult right after it.
+  /// Both are called concurrently for distinct run indices and must not
+  /// share unsynchronized state across indices.
   std::function<void(std::size_t run_index, core::ScenarioConfig&)> configure;
   std::function<void(std::size_t run_index, const core::ScenarioResult&)> inspect;
 };

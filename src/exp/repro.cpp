@@ -1,6 +1,6 @@
 #include "exp/repro.h"
 
-#include <chrono>
+#include <optional>
 #include <ostream>
 #include <sstream>
 #include <utility>
@@ -25,30 +25,24 @@ core::ScenarioConfig ReproScenario::to_config() const {
   return config;
 }
 
-sim::RoundObserver with_deadline(sim::RoundObserver inner, double timeout_seconds) {
-  const auto deadline = std::chrono::steady_clock::now() +
-                        std::chrono::duration<double>(timeout_seconds);
-  return [inner = std::move(inner), deadline, timeout_seconds](sim::Round round,
-                                                               const sim::Network& network) {
-    if (inner) inner(round, network);
-    if (std::chrono::steady_clock::now() > deadline) throw RunTimeoutError(timeout_seconds);
-  };
+ReproVerdict verdict_of(const core::ScenarioResult& result) {
+  ReproVerdict verdict;
+  verdict.kind = result.report.all_ok() ? FailureKind::kNone : FailureKind::kViolation;
+  verdict.classes = result.report.classes();
+  verdict.detail = result.report.detail;
+  verdict.rounds = result.run.rounds;
+  verdict.terminated = result.run.terminated;
+  verdict.max_name = static_cast<std::int64_t>(result.report.max_name);
+  return verdict;
 }
 
 ReproVerdict evaluate_scenario(const ReproScenario& scenario, double timeout_seconds) {
-  ReproVerdict verdict;
   core::ScenarioConfig config = scenario.to_config();
-  if (timeout_seconds > 0.0) {
-    config.observer = with_deadline(std::move(config.observer), timeout_seconds);
-  }
+  std::optional<Watchdog> watchdog;
+  if (timeout_seconds > 0.0) config.observers.push_back(&watchdog.emplace(timeout_seconds));
+  ReproVerdict verdict;
   try {
-    const core::ScenarioResult result = core::run_scenario(config);
-    verdict.kind = result.report.all_ok() ? FailureKind::kNone : FailureKind::kViolation;
-    verdict.classes = result.report.classes();
-    verdict.detail = result.report.detail;
-    verdict.rounds = result.run.rounds;
-    verdict.terminated = result.run.terminated;
-    verdict.max_name = static_cast<std::int64_t>(result.report.max_name);
+    return verdict_of(core::run_scenario(config));
   } catch (const RunTimeoutError& error) {
     verdict.kind = FailureKind::kTimeout;
     verdict.detail = error.what();

@@ -1,6 +1,7 @@
 #ifndef BYZRENAME_EXP_REPRO_H
 #define BYZRENAME_EXP_REPRO_H
 
+#include <chrono>
 #include <cstdint>
 #include <iosfwd>
 #include <stdexcept>
@@ -9,8 +10,8 @@
 
 #include "core/algorithm.h"
 #include "core/harness.h"
+#include "obs/telemetry.h"
 #include "sim/fault.h"
-#include "sim/runner.h"
 #include "sim/types.h"
 
 namespace byzrename::obs {
@@ -88,20 +89,39 @@ class RunTimeoutError : public std::runtime_error {
                            "s") {}
 };
 
-/// Wraps @p inner with a cooperative wall-clock watchdog: the returned
-/// observer checks a steady-clock deadline after every round and throws
-/// RunTimeoutError past it. Cooperative because threads cannot be killed
-/// safely; lockstep rounds are the natural check granularity, so a hang
+/// Cooperative wall-clock watchdog: an observer that checks a
+/// steady-clock deadline after every round and throws RunTimeoutError
+/// past it. Cooperative because threads cannot be killed safely;
+/// lockstep rounds are the natural check granularity, so a hang
 /// *within* one round's process code is interrupted at the next round
 /// boundary it never reaches — the campaign layer's retry/quarantine
 /// handles that by catching the executor thread's eventual throw or, for
 /// a true never-returns hang, by the operator's ctest-level TIMEOUT.
-/// The deadline starts when this function is called.
-[[nodiscard]] sim::RoundObserver with_deadline(sim::RoundObserver inner,
-                                               double timeout_seconds);
+/// Put it after the run's probes, so a hanging probe is caught too. The
+/// deadline starts at construction.
+class Watchdog final : public obs::RunObserver {
+ public:
+  explicit Watchdog(double timeout_seconds)
+      : timeout_seconds_(timeout_seconds),
+        deadline_(std::chrono::steady_clock::now() +
+                  std::chrono::duration<double>(timeout_seconds)) {}
+
+  void on_round(const obs::RoundSample&, const sim::Network&) override {
+    if (std::chrono::steady_clock::now() > deadline_) throw RunTimeoutError(timeout_seconds_);
+  }
+
+ private:
+  double timeout_seconds_;
+  std::chrono::time_point<std::chrono::steady_clock, std::chrono::duration<double>> deadline_;
+};
+
+/// The verdict digest of a finished run: the one mapping from a
+/// ScenarioResult to a ReproVerdict, shared by evaluate_scenario and
+/// `byzrename --verdict-out`.
+[[nodiscard]] ReproVerdict verdict_of(const core::ScenarioResult& result);
 
 /// Runs the scenario and digests the outcome. With @p timeout_seconds > 0
-/// a watchdog observer guards the run. Never throws on run failures —
+/// a Watchdog guards the run. Never throws on run failures —
 /// exceptions become kException verdicts; only malformed scenarios that
 /// cannot even be digested (nothing today) would propagate.
 [[nodiscard]] ReproVerdict evaluate_scenario(const ReproScenario& scenario,

@@ -31,7 +31,6 @@ BenchReporter::BenchReporter(std::string bench_name, std::string out_dir)
   const bool explicit_file = bench_name.size() != bench_.size();
   path_ = out_dir + "/" + (explicit_file ? bench_name : bench_ + ".jsonl");
   out_.open(path_, std::ios::trunc);
-  if (out_.is_open()) telemetry_.add_sink(sink_);
 }
 
 core::ScenarioResult BenchReporter::run(core::ScenarioConfig config, std::string label) {
@@ -39,8 +38,10 @@ core::ScenarioResult BenchReporter::run(core::ScenarioConfig config, std::string
   // whole scenarios are serialized; parallel throughput lives in
   // run_campaign(), which hands each worker a private sink.
   const std::lock_guard<std::mutex> lock(run_mutex_);
-  config.telemetry = &telemetry_;
-  config.telemetry_label = std::move(label);
+  if (enabled()) {
+    sink_.set_label(std::move(label));
+    config.observers.push_back(&sink_);
+  }
   return core::run_scenario(config);
 }
 

@@ -10,7 +10,6 @@
 #include "core/harness.h"
 #include "exp/campaign.h"
 #include "obs/run_report.h"
-#include "obs/telemetry.h"
 
 namespace byzrename::obs {
 
@@ -31,7 +30,7 @@ class BenchReporter {
  public:
   explicit BenchReporter(std::string bench_name, std::string out_dir = "bench/out");
 
-  /// run_scenario with telemetry attached; @p label lands in the
+  /// run_scenario with the report sink attached; @p label lands in the
   /// report's `label` field (use the table row's coordinates). Safe to
   /// call from multiple threads, but runs back-to-back; use
   /// run_campaign() when throughput matters.
@@ -52,7 +51,8 @@ class BenchReporter {
 
   [[nodiscard]] bool enabled() const noexcept { return out_.is_open(); }
   [[nodiscard]] const std::string& path() const noexcept { return path_; }
-  [[nodiscard]] Telemetry& telemetry() noexcept { return telemetry_; }
+  /// See RunReportSink::set_probes_enabled.
+  void set_probes_enabled(bool enabled) noexcept { sink_.set_probes_enabled(enabled); }
 
   /// Prints a one-line pointer to the report file (no-op when disabled);
   /// benches call this after their table.
@@ -65,7 +65,6 @@ class BenchReporter {
   std::mutex write_mutex_;  ///< guards whole-line appends to out_
   std::mutex run_mutex_;    ///< serializes run() scenarios (shared sink state)
   RunReportSink sink_;
-  Telemetry telemetry_;
 };
 
 }  // namespace byzrename::obs

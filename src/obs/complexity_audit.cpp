@@ -33,27 +33,13 @@ bool within_upper(double observed, double limit) {
 }  // namespace
 
 void ComplexityAuditor::on_run_start(const RunInfo& info) {
+  *this = ComplexityAuditor();
   info_ = info;
-  const auto algorithm = core::algorithm_from_name(info.algorithm);
-  algorithm_known_ = algorithm.has_value();
-  if (algorithm_known_) algorithm_ = *algorithm;
-  complete_ = false;
-  have_baseline_ = false;
-  baseline_spread_ = 0.0;
-  have_contraction_ = false;
-  worst_spread_ = worst_envelope_ = 0.0;
-  worst_round_ = worst_iteration_ = 0;
-  have_fast_ = false;
-  fast_worst_discrepancy_ = 0.0;
-  fast_worst_gap_ = 0.0;
-  fast_discrepancy_round_ = fast_gap_round_ = 0;
-  bounds_.clear();
 }
 
-void ComplexityAuditor::on_round(const RoundSample& sample) {
-  const bool voting_shape = algorithm_known_ &&
-                            (algorithm_ == core::Algorithm::kOpRenaming ||
-                             algorithm_ == core::Algorithm::kOpRenamingConstantTime);
+void ComplexityAuditor::on_round(const RoundSample& sample, const sim::Network&) {
+  const bool voting_shape = info_.algorithm == core::Algorithm::kOpRenaming ||
+                            info_.algorithm == core::Algorithm::kOpRenamingConstantTime;
   if (voting_shape && sample.has_rank_probes && info_.t >= 1) {
     if (sample.round == 4) {
       // Delta_4: the spread the ready extension hands to the voting loop
@@ -76,7 +62,7 @@ void ComplexityAuditor::on_round(const RoundSample& sample) {
       }
     }
   }
-  if (algorithm_known_ && algorithm_ == core::Algorithm::kFastRenaming &&
+  if (info_.algorithm == core::Algorithm::kFastRenaming &&
       sample.has_fast_probes) {
     const auto discrepancy = static_cast<double>(sample.fast_max_discrepancy);
     const auto gap = static_cast<double>(sample.fast_min_gap);
@@ -105,10 +91,9 @@ void ComplexityAuditor::on_run_end(const RunSummary& summary) {
   const double t = info_.t;
   const int rounds = summary.result.run.rounds;
 
-  const bool voting_shape = algorithm_known_ &&
-                            (algorithm_ == core::Algorithm::kOpRenaming ||
-                             algorithm_ == core::Algorithm::kOpRenamingConstantTime);
-  const bool fast = algorithm_known_ && algorithm_ == core::Algorithm::kFastRenaming;
+  const bool voting_shape = info_.algorithm == core::Algorithm::kOpRenaming ||
+                            info_.algorithm == core::Algorithm::kOpRenamingConstantTime;
+  const bool fast = info_.algorithm == core::Algorithm::kFastRenaming;
 
   // steps: the protocol's closed-form round count. For op/const that is
   // 4 + iterations (Thm. IV.12's 3*ceil(log2 t)+7 when iterations keep
@@ -208,9 +193,8 @@ void ComplexityAuditor::write_audit_jsonl(std::ostream& os) const {
   JsonWriter json(os);
   json.begin_object();
   json.field("schema", kAuditSchema);
-  if (!info_.label.empty()) json.field("label", info_.label);
   json.key("run").begin_object();
-  json.field("algorithm", info_.algorithm)
+  json.field("algorithm", core::to_string(info_.algorithm))
       .field("n", info_.n)
       .field("t", info_.t)
       .field("faults", info_.faults)

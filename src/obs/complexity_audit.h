@@ -25,7 +25,7 @@ struct AuditBound {
   std::string detail;  ///< where the extreme was seen, e.g. "round 7 (k=3)"
 };
 
-/// TelemetrySink that evaluates the paper's complexity budgets online
+/// RunObserver that evaluates the paper's complexity budgets online
 /// against a live run and renders a byzrename.audit/1 verdict record.
 ///
 /// Bounds checked (each only when the run's algorithm and probes make it
@@ -50,17 +50,18 @@ struct AuditBound {
 ///   fast_gap          min rank gap >= N-t (Lemma VI.2, fast; the one
 ///                     lower bound)
 ///
-/// Attach next to a MetricsSink on the run's Telemetry; after on_run_end
+/// Attach next to a MetricsSink on the run's observer list; after on_run_end
 /// the verdict is final (complete() flips true).
-class ComplexityAuditor final : public TelemetrySink {
+class ComplexityAuditor final : public RunObserver {
  public:
   /// Measured message-constant envelope (EXPERIMENTS.md T4): observed
   /// correct-message totals sit under 4.5 * N^2 * rounds across the
   /// adversary sweep, while the provable ceiling is 1.0 * N^2 * rounds.
   static constexpr double kMessageConstant = 4.5;
 
+  [[nodiscard]] Sampling sampling() const override { return Sampling::kProbes; }
   void on_run_start(const RunInfo& info) override;
-  void on_round(const RoundSample& sample) override;
+  void on_round(const RoundSample& sample, const sim::Network& network) override;
   void on_run_end(const RunSummary& summary) override;
 
   /// True once on_run_end folded the whole-run totals; bounds() is
@@ -68,7 +69,6 @@ class ComplexityAuditor final : public TelemetrySink {
   [[nodiscard]] bool complete() const noexcept { return complete_; }
   [[nodiscard]] const std::vector<AuditBound>& bounds() const noexcept { return bounds_; }
   [[nodiscard]] bool all_ok() const noexcept;
-  [[nodiscard]] const RunInfo& info() const noexcept { return info_; }
 
   /// One byzrename.audit/1 line (schema'd in obs/schema.h).
   /// Deterministic: no wall clocks enter any bound.
@@ -83,8 +83,6 @@ class ComplexityAuditor final : public TelemetrySink {
 
  private:
   RunInfo info_;
-  core::Algorithm algorithm_ = core::Algorithm::kOpRenaming;
-  bool algorithm_known_ = false;
   bool complete_ = false;
 
   // Voting-phase contraction state, accumulated per round.

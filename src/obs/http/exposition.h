@@ -48,20 +48,21 @@ class ExpositionHub {
 void write_process_metrics(std::ostream& os);
 
 /// MetricsSink wrapper that makes one run's registry scrapeable while
-/// the run is producing it: every telemetry hook and every exposition
+/// the run is producing it: every observer hook and every exposition
 /// call takes the same mutex, so GET /metrics during a round boundary
 /// sees a consistent registry. The per-round cost is one uncontended
 /// lock — nothing on the simulation's allocation-free paths changes.
-class GuardedMetricsSink final : public TelemetrySink {
+class GuardedMetricsSink final : public RunObserver {
  public:
+  [[nodiscard]] Sampling sampling() const override { return Sampling::kProbes; }
   void on_run_start(const RunInfo& info) override {
     const std::lock_guard<std::mutex> lock(mutex_);
     inner_.on_run_start(info);
   }
 
-  void on_round(const RoundSample& sample) override {
+  void on_round(const RoundSample& sample, const sim::Network& network) override {
     const std::lock_guard<std::mutex> lock(mutex_);
-    inner_.on_round(sample);
+    inner_.on_round(sample, network);
   }
 
   void write_prometheus(std::ostream& os) const {

@@ -7,6 +7,7 @@
 #include <utility>
 
 #include "obs/json.h"
+#include "obs/run_report.h"
 #include "obs/schema.h"
 
 namespace byzrename::obs {
@@ -217,9 +218,6 @@ void MetricsSink::on_run_start(const RunInfo& info) {
   info_ = info;
   rows_.clear();
   registry_.clear();
-  const auto algorithm = core::algorithm_from_name(info.algorithm);
-  algorithm_known_ = algorithm.has_value();
-  if (algorithm_known_) algorithm_ = *algorithm;
 
   // Every phase's counter family is registered up front (families
   // consecutive, series per phase), so on_round is pure indexing. Series
@@ -272,10 +270,9 @@ void MetricsSink::on_run_start(const RunInfo& info) {
                           MetricsRegistry::exponential_bounds(8, 2, 24));
 }
 
-void MetricsSink::on_round(const RoundSample& sample) {
+void MetricsSink::on_round(const RoundSample& sample, const sim::Network&) {
   const core::RoundPhase phase =
-      algorithm_known_ ? core::round_phase(algorithm_, sample.round, info_.iterations)
-                       : core::RoundPhase{};
+      core::round_phase(info_.algorithm, sample.round, info_.iterations);
   const PhaseCounters& counters = per_phase_[static_cast<std::size_t>(phase.phase)];
   registry_.add(counters.messages, sample.metrics.messages);
   registry_.add(counters.bits, sample.metrics.bits);
@@ -310,9 +307,8 @@ void MetricsSink::write_metrics_jsonl(std::ostream& os) const {
     JsonWriter json(os);
     json.begin_object();
     json.field("schema", kMetricsSchema);
-    if (!info_.label.empty()) json.field("label", info_.label);
     json.key("run").begin_object();
-    json.field("algorithm", info_.algorithm)
+    json.field("algorithm", core::to_string(info_.algorithm))
         .field("n", info_.n)
         .field("t", info_.t)
         .field("faults", info_.faults)
@@ -322,15 +318,9 @@ void MetricsSink::write_metrics_jsonl(std::ostream& os) const {
     json.end_object();
     json.field("round", sample.round)
         .field("phase", core::to_string(row.phase.phase))
-        .field("voting_iteration", row.phase.voting_iteration)
-        .field("messages", sample.metrics.messages)
-        .field("bits", sample.metrics.bits)
-        .field("correct_messages", sample.metrics.correct_messages)
-        .field("correct_bits", sample.metrics.correct_bits)
-        .field("equivocating_sends", sample.metrics.equivocating_sends)
-        .field("max_message_bits", sample.metrics.max_message_bits)
-        .field("max_correct_message_bits", sample.metrics.max_correct_message_bits)
-        .field("injected_drops", sample.metrics.injected_drops)
+        .field("voting_iteration", row.phase.voting_iteration);
+    write_round_counters(json, sample.metrics);
+    json.field("injected_drops", sample.metrics.injected_drops)
         .field("injected_duplicates", sample.metrics.injected_duplicates)
         .field("injected_delays", sample.metrics.injected_delays);
     // New-family counters are omitted when zero so the golden metrics
@@ -341,22 +331,7 @@ void MetricsSink::write_metrics_jsonl(std::ostream& os) const {
     if (sample.metrics.injected_restarts > 0) {
       json.field("injected_restarts", sample.metrics.injected_restarts);
     }
-    if (sample.has_acceptance) {
-      json.key("accepted").begin_object();
-      json.field("min", sample.min_accepted).field("max", sample.max_accepted);
-      json.end_object();
-      json.field("rejected_votes", sample.rejected_votes);
-    }
-    if (sample.has_rank_probes) {
-      json.field("rank_spread", sample.rank_spread)
-          .field("rank_spread_exact", sample.rank_spread_exact)
-          .field("adjacent_gap", sample.adjacent_gap)
-          .field("adjacent_gap_exact", sample.adjacent_gap_exact);
-    }
-    if (sample.has_fast_probes) {
-      json.field("fast_max_discrepancy", static_cast<std::int64_t>(sample.fast_max_discrepancy))
-          .field("fast_min_gap", static_cast<std::int64_t>(sample.fast_min_gap));
-    }
+    write_round_measurements(json, sample);
     json.end_object();
     os << '\n';
   }

@@ -108,15 +108,15 @@ class MetricsRegistry {
   std::vector<Instrument> instruments_;
 };
 
-/// TelemetrySink that feeds a MetricsRegistry from the harness's
+/// RunObserver that feeds a MetricsRegistry from the harness's
 /// per-round samples, annotating every counter with the protocol phase
 /// (core/phase.h) the round belongs to, and buffering one deterministic
-/// row per round for the byzrename.metrics/1 timeseries. Attach it to
-/// the run's Telemetry next to any other sink; when it is not attached
+/// row per round for the byzrename.metrics/1 timeseries. Put it on the
+/// run's observer list next to any other sink; when it is not attached
 /// the run pays nothing (the registry-off case of docs/PERFORMANCE.md).
 ///
 /// Like RunReportSink, one MetricsSink serves one run at a time.
-class MetricsSink final : public TelemetrySink {
+class MetricsSink final : public RunObserver {
  public:
   /// One captured round: the sample plus its phase classification. The
   /// JSONL writer, the trace counter exporter, and the auditor's tests
@@ -126,10 +126,10 @@ class MetricsSink final : public TelemetrySink {
     core::RoundPhase phase;
   };
 
+  [[nodiscard]] Sampling sampling() const override { return Sampling::kProbes; }
   void on_run_start(const RunInfo& info) override;
-  void on_round(const RoundSample& sample) override;
+  void on_round(const RoundSample& sample, const sim::Network& network) override;
 
-  [[nodiscard]] const RunInfo& info() const noexcept { return info_; }
   [[nodiscard]] const std::vector<Row>& rows() const noexcept { return rows_; }
   [[nodiscard]] const MetricsRegistry& registry() const noexcept { return registry_; }
 
@@ -151,8 +151,6 @@ class MetricsSink final : public TelemetrySink {
   };
 
   RunInfo info_;
-  core::Algorithm algorithm_ = core::Algorithm::kOpRenaming;
-  bool algorithm_known_ = false;
   MetricsRegistry registry_;
   std::vector<Row> rows_;
   /// One slot per core::Phase value, registered up front so the

@@ -14,8 +14,6 @@ std::uint64_t steady_wall_ns() noexcept {
           .count());
 }
 
-thread_local Profiler* t_profiler = nullptr;
-
 }  // namespace
 
 std::uint64_t thread_cpu_ns() noexcept {
@@ -135,14 +133,5 @@ std::string ProfileSnapshot::path(std::size_t index) const {
   }
   return joined;
 }
-
-Profiler* thread_profiler() noexcept { return t_profiler; }
-
-ThreadProfilerGuard::ThreadProfilerGuard(Profiler* profiler) noexcept
-    : previous_(t_profiler) {
-  t_profiler = profiler;
-}
-
-ThreadProfilerGuard::~ThreadProfilerGuard() { t_profiler = previous_; }
 
 }  // namespace byzrename::obs::prof

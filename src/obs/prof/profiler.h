@@ -175,32 +175,6 @@ class Scope {
   Profiler* profiler_;
 };
 
-/// The calling thread's ambient profiler (null when none installed).
-/// Lets deeply nested code open caller-defined scopes without threading
-/// a Profiler* through every signature.
-[[nodiscard]] Profiler* thread_profiler() noexcept;
-
-/// Installs @p profiler as the calling thread's ambient profiler for
-/// the guard's lifetime, restoring the previous one after (guards
-/// nest). Null is allowed and installs "no profiler".
-class ThreadProfilerGuard {
- public:
-  explicit ThreadProfilerGuard(Profiler* profiler) noexcept;
-  ThreadProfilerGuard(const ThreadProfilerGuard&) = delete;
-  ThreadProfilerGuard& operator=(const ThreadProfilerGuard&) = delete;
-  ~ThreadProfilerGuard();
-
- private:
-  Profiler* previous_;
-};
-
-/// Scope against the ambient thread profiler; inert when none is
-/// installed. The instrument of choice for library-internal call sites.
-class AmbientScope : public Scope {
- public:
-  explicit AmbientScope(std::string_view name) : Scope(thread_profiler(), name) {}
-};
-
 }  // namespace byzrename::obs::prof
 
 #endif  // BYZRENAME_OBS_PROF_PROFILER_H

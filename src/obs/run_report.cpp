@@ -11,6 +11,35 @@
 
 namespace byzrename::obs {
 
+void write_round_counters(JsonWriter& json, const sim::RoundMetrics& metrics) {
+  json.field("messages", metrics.messages)
+      .field("bits", metrics.bits)
+      .field("correct_messages", metrics.correct_messages)
+      .field("correct_bits", metrics.correct_bits)
+      .field("equivocating_sends", metrics.equivocating_sends)
+      .field("max_message_bits", metrics.max_message_bits)
+      .field("max_correct_message_bits", metrics.max_correct_message_bits);
+}
+
+void write_round_measurements(JsonWriter& json, const RoundSample& sample) {
+  if (sample.has_acceptance) {
+    json.key("accepted").begin_object();
+    json.field("min", sample.min_accepted).field("max", sample.max_accepted);
+    json.end_object();
+    json.field("rejected_votes", sample.rejected_votes);
+  }
+  if (sample.has_rank_probes) {
+    json.field("rank_spread", sample.rank_spread)
+        .field("rank_spread_exact", sample.rank_spread_exact)
+        .field("adjacent_gap", sample.adjacent_gap)
+        .field("adjacent_gap_exact", sample.adjacent_gap_exact);
+  }
+  if (sample.has_fast_probes) {
+    json.field("fast_max_discrepancy", static_cast<std::int64_t>(sample.fast_max_discrepancy))
+        .field("fast_min_gap", static_cast<std::int64_t>(sample.fast_min_gap));
+  }
+}
+
 RunReportSink::RunReportSink(std::ostream& os, std::string bench, std::mutex* write_mutex)
     : os_(os), bench_(std::move(bench)), write_mutex_(write_mutex) {}
 
@@ -19,7 +48,9 @@ void RunReportSink::on_run_start(const RunInfo& info) {
   rounds_.clear();
 }
 
-void RunReportSink::on_round(const RoundSample& sample) { rounds_.push_back(sample); }
+void RunReportSink::on_round(const RoundSample& sample, const sim::Network&) {
+  rounds_.push_back(sample);
+}
 
 void RunReportSink::on_run_end(const RunSummary& summary) {
   const core::ScenarioResult& result = summary.result;
@@ -32,10 +63,10 @@ void RunReportSink::on_run_end(const RunSummary& summary) {
   json.begin_object();
   json.field("schema", kRunSchema);
   if (!bench_.empty()) json.field("bench", bench_);
-  if (!info_.label.empty()) json.field("label", info_.label);
+  if (!label_.empty()) json.field("label", label_);
 
   json.key("scenario").begin_object();
-  json.field("algorithm", info_.algorithm)
+  json.field("algorithm", core::to_string(info_.algorithm))
       .field("n", info_.n)
       .field("t", info_.t)
       .field("faults", info_.faults)
@@ -97,45 +128,20 @@ void RunReportSink::on_run_end(const RunSummary& summary) {
   json.key("per_round").begin_array();
   for (const RoundSample& sample : rounds_) {
     json.begin_object();
-    json.field("round", sample.round)
-        .field("messages", sample.metrics.messages)
-        .field("bits", sample.metrics.bits)
-        .field("correct_messages", sample.metrics.correct_messages)
-        .field("correct_bits", sample.metrics.correct_bits)
-        .field("equivocating_sends", sample.metrics.equivocating_sends)
-        .field("max_message_bits", sample.metrics.max_message_bits)
-        .field("max_correct_message_bits", sample.metrics.max_correct_message_bits)
-        .field("wall_seconds", sample.wall_seconds);
-    if (sample.has_acceptance) {
-      json.key("accepted").begin_object();
-      json.field("min", sample.min_accepted).field("max", sample.max_accepted);
-      json.end_object();
-      json.field("rejected_votes", sample.rejected_votes);
-    }
-    if (sample.has_rank_probes) {
-      json.field("rank_spread", sample.rank_spread)
-          .field("rank_spread_exact", sample.rank_spread_exact)
-          .field("adjacent_gap", sample.adjacent_gap)
-          .field("adjacent_gap_exact", sample.adjacent_gap_exact);
-    }
-    if (sample.has_fast_probes) {
-      json.field("fast_max_discrepancy", static_cast<std::int64_t>(sample.fast_max_discrepancy))
-          .field("fast_min_gap", static_cast<std::int64_t>(sample.fast_min_gap));
-    }
+    json.field("round", sample.round);
+    write_round_counters(json, sample.metrics);
+    json.field("wall_seconds", sample.wall_seconds);
+    write_round_measurements(json, sample);
     json.end_object();
   }
   json.end_array();
 
   json.end_object();
   line << '\n';
-  if (write_mutex_ != nullptr) {
-    const std::lock_guard<std::mutex> lock(*write_mutex_);
-    os_ << line.str();
-    os_.flush();
-  } else {
-    os_ << line.str();
-    os_.flush();
-  }
+  std::unique_lock<std::mutex> lock;
+  if (write_mutex_ != nullptr) lock = std::unique_lock<std::mutex>(*write_mutex_);
+  os_ << line.str();
+  os_.flush();
 }
 
 }  // namespace byzrename::obs

@@ -188,7 +188,6 @@ namespace byzrename::obs {
 ///
 /// Optional fields (same guards as byzrename.run/1 per_round entries):
 ///   injected_forgeries / injected_restarts  uint64  omitted when zero
-///   label             string   free-form row label
 ///   accepted          object   {min,max}, Alg. 1/4 runs only
 ///   rejected_votes    int      cumulative up to this round
 ///   rank_spread / rank_spread_exact      double / string   Delta_r
@@ -202,7 +201,6 @@ namespace byzrename::obs {
 /// Deterministic (no wall clock enters any bound).
 ///
 ///   schema            string   "byzrename.audit/1"
-///   label             string?  free-form row label
 ///   run               object   algorithm n t faults adversary seed
 ///                              iterations round_budget
 ///   verdict           object   {complete, all_ok, bounds_checked,

@@ -1,18 +1,21 @@
 #ifndef BYZRENAME_OBS_TELEMETRY_H
 #define BYZRENAME_OBS_TELEMETRY_H
 
-#include <chrono>
 #include <cstdint>
 #include <string>
-#include <vector>
+#include <utility>
 
+#include "core/algorithm.h"
 #include "sim/metrics.h"
-#include "sim/runner.h"
 #include "sim/types.h"
 
 namespace byzrename::core {
 struct ScenarioResult;
 }  // namespace byzrename::core
+
+namespace byzrename::sim {
+class Network;
+}  // namespace byzrename::sim
 
 namespace byzrename::obs {
 
@@ -20,7 +23,7 @@ namespace byzrename::obs {
 /// meanings mirror core::ScenarioConfig after the harness resolved the
 /// defaults (faults, iterations, round budget).
 struct RunInfo {
-  std::string algorithm;
+  core::Algorithm algorithm = core::Algorithm::kOpRenaming;
   int n = 0;
   int t = 0;
   int faults = 0;
@@ -30,8 +33,6 @@ struct RunInfo {
   bool validate_votes = true;
   sim::Name target_namespace = 0;
   int round_budget = 0;
-  /// Free-form row label propagated from ScenarioConfig::telemetry_label.
-  std::string label;
   /// Canonical fault-plan spec (sim::to_spec); empty = clean model.
   std::string fault_plan;
 };
@@ -68,88 +69,58 @@ struct RoundSample {
   sim::Name fast_min_gap = 0;
 };
 
-/// A finished run as handed to sinks: the full harness result plus the
-/// whole-run wall clock measured by the telemetry layer.
+/// A finished run as handed to observers: the full harness result plus
+/// the whole-run wall clock measured by the harness.
 struct RunSummary {
   const core::ScenarioResult& result;
   double wall_seconds = 0.0;
 };
 
-/// Consumer interface. Sinks are non-owning and must outlive the
-/// Telemetry they are attached to. All hooks have empty defaults so a
-/// sink overrides only what it consumes.
-class TelemetrySink {
+/// How much of each round's RoundSample an observer reads. The harness
+/// fills one shared sample per round to the highest level on the list:
+/// kNone leaves only `round` set, kCounters adds the round's counters,
+/// wall clock and acceptance figures, and kProbes adds the exact-rational
+/// probes (the costly part).
+enum class Sampling { kNone, kCounters, kProbes };
+
+/// The one way to watch a core::run_scenario call. Observers sit on
+/// ScenarioConfig::observers as non-owning pointers and are called in
+/// list order, so a caller puts its probes first, then a watchdog or
+/// interrupt check, then its sinks. Every hook defaults to a no-op, so
+/// an observer overrides only what it consumes.
+class RunObserver {
  public:
-  virtual ~TelemetrySink() = default;
+  virtual ~RunObserver() = default;
+  [[nodiscard]] virtual Sampling sampling() const { return Sampling::kNone; }
+  /// After set-up, before round 1.
   virtual void on_run_start(const RunInfo& info) { (void)info; }
-  virtual void on_round(const RoundSample& sample) { (void)sample; }
+  /// Bracket immediately around Network::run_round, for observers that
+  /// time a round (the profiler's phase scopes). Begin fires in list
+  /// order and end in reverse, so brackets nest; sampling and on_round
+  /// run after the bracket closes and never land inside it.
+  virtual void on_round_begin(sim::Round round) { (void)round; }
+  virtual void on_round_end(sim::Round round) { (void)round; }
+  /// After each round's receive phase. May throw to abort the run.
+  virtual void on_round(const RoundSample& sample, const sim::Network& network) {
+    (void)sample;
+    (void)network;
+  }
+  /// After the checker scored the run; not called when a hook threw.
   virtual void on_run_end(const RunSummary& summary) { (void)summary; }
 };
 
-/// Fans the runner's single sim::RoundObserver slot out to any number of
-/// consumers, invoked in the order they were added. Exists because
-/// ScenarioConfig::observer is one slot: without the hub a bench could
-/// not keep its own probe lambda AND attach telemetry.
-class ObserverHub {
+/// Adapts a per-round callable `void(sim::Round, const sim::Network&)`,
+/// a test's or bench's probe, into an observer.
+template <class Probe>
+class RoundProbe final : public RunObserver {
  public:
-  void add(sim::RoundObserver observer) {
-    if (observer) observers_.push_back(std::move(observer));
-  }
-
-  [[nodiscard]] bool empty() const noexcept { return observers_.empty(); }
-
-  void operator()(sim::Round round, const sim::Network& network) const {
-    for (const sim::RoundObserver& observer : observers_) observer(round, network);
-  }
-
-  /// A single observer that fans out to every added one. Captures this
-  /// hub by reference: the hub must outlive the run (the harness keeps
-  /// it on the stack around run_to_completion).
-  [[nodiscard]] sim::RoundObserver as_observer() const {
-    if (observers_.empty()) return {};
-    return [this](sim::Round round, const sim::Network& network) { (*this)(round, network); };
+  explicit RoundProbe(Probe probe) : probe_(std::move(probe)) {}
+  void on_round(const RoundSample& sample, const sim::Network& network) override {
+    probe_(sample.round, network);
   }
 
  private:
-  std::vector<sim::RoundObserver> observers_;
-};
-
-/// The hub the harness drives. Pay-for-what-you-use: with no sinks
-/// attached, active() is false and the harness skips sampling entirely —
-/// a run without telemetry costs exactly what it did before this layer
-/// existed.
-class Telemetry {
- public:
-  /// Attaches a non-owning sink; call order is delivery order.
-  void add_sink(TelemetrySink& sink) { sinks_.push_back(&sink); }
-
-  [[nodiscard]] bool active() const noexcept { return !sinks_.empty(); }
-
-  /// Per-round probe sampling (exact-rational rank measurements) can be
-  /// switched off for huge sweeps; counters and timers always run.
-  void set_probes_enabled(bool enabled) noexcept { probes_ = enabled; }
-
-  // --- Harness-facing API ------------------------------------------------
-
-  void begin_run(RunInfo info);
-
-  /// Samples the network after a round's receive phase; wrap in a
-  /// RoundObserver via round_observer().
-  void sample_round(sim::Round round, const sim::Network& network);
-
-  [[nodiscard]] sim::RoundObserver round_observer() {
-    return [this](sim::Round round, const sim::Network& network) {
-      sample_round(round, network);
-    };
-  }
-
-  void end_run(const core::ScenarioResult& result);
-
- private:
-  std::vector<TelemetrySink*> sinks_;
-  bool probes_ = true;
-  std::chrono::steady_clock::time_point run_start_{};
-  std::chrono::steady_clock::time_point last_round_{};
+  Probe probe_;
 };
 
 }  // namespace byzrename::obs

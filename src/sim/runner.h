@@ -26,17 +26,19 @@ struct RunResult {
   Metrics metrics;
 };
 
-/// Observation hook invoked after each round's receive phase; used by
-/// benches to record per-round convergence traces.
+/// Observation hook invoked after each round's receive phase, for
+/// callers that drive a Network directly (core::run_scenario callers
+/// attach obs::RunObserver instead).
 using RoundObserver = std::function<void(Round, const Network&)>;
 
 /// Pre/post bracket around each round's execution, for callers that
 /// need to MEASURE a round rather than observe its outcome (the
-/// obs/prof phase timer). on_round_begin fires immediately before
-/// Network::run_round and on_round_end immediately after it — BEFORE
-/// the RoundObserver, so observer/telemetry cost is never attributed to
-/// the protocol phase being timed. Implementations must not touch the
-/// network; this is a timing seam, not a second observer.
+/// harness's observer brackets, such as the profiler's phase scopes).
+/// on_round_begin fires immediately before Network::run_round and
+/// on_round_end immediately after it — BEFORE the RoundObserver, so
+/// observer/telemetry cost is never attributed to the protocol phase
+/// being timed. Implementations must not touch the network; this is a
+/// timing seam, not a second observer.
 class RoundHook {
  public:
   virtual ~RoundHook() = default;

@@ -4,6 +4,7 @@
 #include "baselines/consensus_renaming.h"
 #include "baselines/crash_renaming.h"
 #include "core/harness.h"
+#include "obs/telemetry.h"
 
 namespace byzrename::core {
 namespace {
@@ -98,14 +99,15 @@ TEST(ConsensusRenaming, AgreedClaimsMatchAcrossCorrectProcesses) {
   config.adversary = "random";
   config.seed = 77;
   std::vector<std::vector<std::int64_t>> claims;
-  config.observer = [&](sim::Round round, const sim::Network& net) {
+  obs::RoundProbe probe([&](sim::Round round, const sim::Network& net) {
     if (round != 1 + 2 * (2 + 1)) return;
     for (sim::ProcessIndex i = 0; i < net.size(); ++i) {
       if (net.is_byzantine(i)) continue;
       claims.push_back(dynamic_cast<const baselines::ConsensusRenamingProcess&>(net.behavior(i))
                            .agreed_claims());
     }
-  };
+  });
+  config.observers.push_back(&probe);
   const ScenarioResult result = run_scenario(config);
   EXPECT_TRUE(result.report.all_ok()) << result.report.detail;
   ASSERT_GE(claims.size(), 2u);

@@ -390,17 +390,15 @@ TEST(RunReportSink, SharedMutexSerialisesManualWriters) {
   for (int w = 0; w < kThreads; ++w) {
     writers.emplace_back([&out, &guard, w] {
       obs::RunReportSink sink(out, "mt-test", &guard);
-      obs::Telemetry telemetry;
-      telemetry.add_sink(sink);
-      telemetry.set_probes_enabled(false);
+      sink.set_probes_enabled(false);
+      sink.set_label("mt");
       for (int r = 0; r < kRunsPerThread; ++r) {
         core::ScenarioConfig config;
         config.algorithm = core::Algorithm::kOpRenaming;
         config.params = {.n = 7, .t = 2};
         config.adversary = "silent";
         config.seed = static_cast<std::uint64_t>(w * kRunsPerThread + r);
-        config.telemetry = &telemetry;
-        config.telemetry_label = "mt";
+        config.observers = {&sink};
         const core::ScenarioResult result = core::run_scenario(config);
         EXPECT_TRUE(result.run.terminated);
       }
@@ -506,12 +504,11 @@ TEST(Campaign, HangingRunIsQuarantinedByWatchdog) {
   options.run_timeout_seconds = 0.02;
   // The injected hang: every round of rep 0 sleeps past the watchdog
   // deadline. Rep 1 runs clean and must be unaffected.
-  options.configure = [](std::size_t run_index, core::ScenarioConfig& config) {
-    if (run_index % 2 == 0) {
-      config.observer = [](sim::Round, const sim::Network&) {
-        std::this_thread::sleep_for(std::chrono::milliseconds(50));
-      };
-    }
+  obs::RoundProbe hang([](sim::Round, const sim::Network&) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  });
+  options.configure = [&hang](std::size_t run_index, core::ScenarioConfig& config) {
+    if (run_index % 2 == 0) config.observers.push_back(&hang);
   };
   const CampaignResult result = run_campaign(spec, options);
   ASSERT_EQ(result.runs.size(), 2u);

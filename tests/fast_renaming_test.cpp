@@ -5,6 +5,7 @@
 #include <map>
 
 #include "core/harness.h"
+#include "obs/telemetry.h"
 
 namespace byzrename::core {
 namespace {
@@ -66,7 +67,7 @@ TEST(FastRenaming, LemmaVI2MinimumGapBetweenCorrectNames) {
   config.seed = 7;
   std::vector<std::map<sim::Id, sim::Name>> all_newids;
   std::vector<sim::Id> correct_ids;
-  config.observer = [&](sim::Round round, const sim::Network& net) {
+  obs::RoundProbe probe([&](sim::Round round, const sim::Network& net) {
     if (round != 2) return;
     for (sim::ProcessIndex i = 0; i < net.size(); ++i) {
       if (net.is_byzantine(i)) continue;
@@ -74,7 +75,8 @@ TEST(FastRenaming, LemmaVI2MinimumGapBetweenCorrectNames) {
       all_newids.push_back(fast.newid());
       correct_ids.push_back(fast.my_id());
     }
-  };
+  });
+  config.observers.push_back(&probe);
   const ScenarioResult result = run_scenario(config);
   ASSERT_TRUE(result.report.all_ok()) << result.report.detail;
   std::sort(correct_ids.begin(), correct_ids.end());
@@ -99,7 +101,7 @@ TEST(FastRenaming, LemmaVI1DiscrepancyBound) {
   config.seed = 13;
   std::vector<std::map<sim::Id, sim::Name>> all_newids;
   std::set<sim::Id> correct_ids;
-  config.observer = [&](sim::Round round, const sim::Network& net) {
+  obs::RoundProbe probe([&](sim::Round round, const sim::Network& net) {
     if (round != 2) return;
     for (sim::ProcessIndex i = 0; i < net.size(); ++i) {
       if (net.is_byzantine(i)) continue;
@@ -107,7 +109,8 @@ TEST(FastRenaming, LemmaVI1DiscrepancyBound) {
       all_newids.push_back(fast.newid());
       correct_ids.insert(fast.my_id());
     }
-  };
+  });
+  config.observers.push_back(&probe);
   (void)run_scenario(config);
   ASSERT_FALSE(all_newids.empty());
   for (const sim::Id id : correct_ids) {

@@ -826,10 +826,7 @@ struct DeepRun {
 DeepRun run_deep(core::ScenarioConfig config) {
   obs::MetricsSink sink;
   obs::ComplexityAuditor auditor;
-  obs::Telemetry telemetry;
-  telemetry.add_sink(sink);
-  telemetry.add_sink(auditor);
-  config.telemetry = &telemetry;
+  config.observers = {&sink, &auditor};
   DeepRun run;
   run.result = core::run_scenario(config);
   std::ostringstream metrics;
@@ -1000,7 +997,7 @@ TEST(CheckKernel, LockstepShadowAgreesUnderFaultPlans) {
 std::vector<std::uint64_t> computed_per_voting_round(core::ScenarioConfig config) {
   std::vector<std::uint64_t> per_round;
   std::uint64_t seen = 0;
-  config.observer = [&](sim::Round round, const sim::Network& network) {
+  obs::RoundProbe probe([&](sim::Round round, const sim::Network& network) {
     if (round <= 4) return;
     const auto* process = dynamic_cast<const core::OpRenamingProcess*>(&network.behavior(0));
     if (process == nullptr || process->view_cache() == nullptr) {
@@ -1009,7 +1006,8 @@ std::vector<std::uint64_t> computed_per_voting_round(core::ScenarioConfig config
     }
     per_round.push_back(process->view_cache()->computed() - seen);
     seen = process->view_cache()->computed();
-  };
+  });
+  config.observers.push_back(&probe);
   EXPECT_TRUE(core::run_scenario(config).report.all_ok());
   return per_round;
 }

@@ -19,10 +19,12 @@
 #include <atomic>
 #include <chrono>
 #include <cstring>
+#include <memory>
 #include <sstream>
 #include <stdexcept>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "exp/campaign.h"
@@ -35,6 +37,8 @@
 #include "obs/json_parse.h"
 #include "obs/schema.h"
 #include "obs/telemetry.h"
+#include "sim/network.h"
+#include "sim/rng.h"
 
 namespace {
 
@@ -720,7 +724,17 @@ TEST(LiveScrape, HammeringEndpointsDuringCampaignIsSafeAndChangesNothing) {
 /// GuardedMetricsSink: a single run's registry scraped concurrently with
 /// the telemetry hooks feeding it. TSan checks the mutex actually covers
 /// both sides; the assert checks a scrape never sees a torn document.
+class IdleBehavior final : public sim::ProcessBehavior {
+ public:
+  void on_send(sim::Round, sim::Outbox&) override {}
+  void on_receive(sim::Round, const sim::Inbox&) override {}
+  [[nodiscard]] bool done() const override { return true; }
+};
+
 TEST(LiveScrape, GuardedMetricsSinkSurvivesConcurrentScrapes) {
+  std::vector<std::unique_ptr<sim::ProcessBehavior>> behaviors;
+  behaviors.push_back(std::make_unique<IdleBehavior>());
+  const sim::Network network(std::move(behaviors), {false}, sim::Rng(1));
   obs::GuardedMetricsSink sink;
   std::atomic<bool> stop{false};
   std::thread scraper([&] {
@@ -731,7 +745,7 @@ TEST(LiveScrape, GuardedMetricsSinkSurvivesConcurrentScrapes) {
   });
   for (int run = 0; run < 20; ++run) {
     obs::RunInfo info;
-    info.algorithm = "op-renaming";
+    info.algorithm = core::Algorithm::kOpRenaming;
     info.n = 10;
     info.t = 3;
     info.adversary = "silent";
@@ -742,7 +756,7 @@ TEST(LiveScrape, GuardedMetricsSinkSurvivesConcurrentScrapes) {
       sample.round = round;
       sample.metrics.messages = 100;
       sample.metrics.bits = 6400;
-      sink.on_round(sample);
+      sink.on_round(sample, network);
     }
   }
   stop.store(true, std::memory_order_relaxed);

@@ -11,6 +11,7 @@
 
 #include "core/harness.h"
 #include "core/op_renaming.h"
+#include "obs/telemetry.h"
 #include "sim/network.h"
 #include "sim/runner.h"
 
@@ -429,7 +430,7 @@ TEST_P(IdSelectionLemmas, LemmasHoldUnderAdversary) {
   // Capture per-process selection sets right after step 4.
   std::vector<std::set<Id>> timely_sets;
   std::vector<std::set<Id>> accepted_sets;
-  config.observer = [&](sim::Round round, const sim::Network& net) {
+  obs::RoundProbe probe([&](sim::Round round, const sim::Network& net) {
     if (round != 4) return;
     for (sim::ProcessIndex i = 0; i < net.size(); ++i) {
       if (net.is_byzantine(i)) continue;
@@ -437,7 +438,8 @@ TEST_P(IdSelectionLemmas, LemmasHoldUnderAdversary) {
       timely_sets.push_back(op.timely());
       accepted_sets.push_back(op.selection_accepted());
     }
-  };
+  });
+  config.observers.push_back(&probe);
   const ScenarioResult result = run_scenario(config);
   ASSERT_FALSE(timely_sets.empty());
 

@@ -208,10 +208,7 @@ struct MetricsCapture {
 
 MetricsCapture run_with_metrics(core::ScenarioConfig config) {
   MetricsCapture capture;
-  obs::Telemetry telemetry;
-  telemetry.add_sink(capture.sink);
-  telemetry.add_sink(capture.auditor);
-  config.telemetry = &telemetry;
+  config.observers = {&capture.sink, &capture.auditor};
   capture.result = core::run_scenario(config);
   return capture;
 }

@@ -1,10 +1,11 @@
-// Tests for the src/obs run-telemetry subsystem: observer fan-out,
+// Tests for the src/obs run-telemetry subsystem: the run observer list,
 // streaming JSON writer, the byzrename.run/1 JSONL report round-trip,
 // and the Chrome trace-event exporter.
 
 #include <gtest/gtest.h>
 
 #include <cstddef>
+#include <cstdint>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -188,47 +189,101 @@ class JsonReader {
   std::size_t pos_ = 0;
 };
 
-// --- ObserverHub -----------------------------------------------------------
+// --- RunObserver: the one observation seam --------------------------------
 
-class IdleBehavior final : public sim::ProcessBehavior {
+/// Records every hook call as "<name>:<hook><round>".
+class Recorder final : public RunObserver {
  public:
-  void on_send(sim::Round, sim::Outbox&) override {}
-  void on_receive(sim::Round, const sim::Inbox&) override {}
-  [[nodiscard]] bool done() const override { return true; }
+  Recorder(std::string name, std::vector<std::string>& log, Sampling sampling = Sampling::kNone)
+      : name_(std::move(name)), log_(log), sampling_(sampling) {}
+
+  [[nodiscard]] Sampling sampling() const override { return sampling_; }
+  void on_run_start(const RunInfo&) override { log_.push_back(name_ + ":start"); }
+  void on_round_begin(sim::Round round) override { add("begin", round); }
+  void on_round_end(sim::Round round) override { add("end", round); }
+  void on_round(const RoundSample& sample, const sim::Network&) override {
+    add("round", sample.round);
+    samples.push_back(sample);
+  }
+  void on_run_end(const RunSummary&) override { log_.push_back(name_ + ":finish"); }
+
+  std::vector<RoundSample> samples;
+
+ private:
+  void add(const char* hook, sim::Round round) {
+    log_.push_back(name_ + ':' + hook + std::to_string(round));
+  }
+
+  std::string name_;
+  std::vector<std::string>& log_;
+  Sampling sampling_;
 };
 
-sim::Network make_idle_network() {
-  std::vector<std::unique_ptr<sim::ProcessBehavior>> behaviors;
-  behaviors.push_back(std::make_unique<IdleBehavior>());
-  return sim::Network(std::move(behaviors), {false}, sim::Rng(1));
+TEST(RunObserver, RunInRegistrationOrder) {
+  std::vector<std::string> log;
+  Recorder probe("probe", log);
+  Recorder watchdog("watchdog", log);
+  Recorder sink("sink", log, Sampling::kCounters);
+  core::ScenarioConfig config;
+  config.params = {.n = 4, .t = 1};
+  config.observers = {&probe, &watchdog, &sink};
+  const core::ScenarioResult result = core::run_scenario(config);
+  ASSERT_GE(result.run.rounds, 2);
+
+  std::vector<std::string> expected = {"probe:start", "watchdog:start", "sink:start"};
+  for (int r = 1; r <= result.run.rounds; ++r) {
+    const std::string round = std::to_string(r);
+    // Brackets nest: begin in list order, end in reverse; the per-round
+    // hook follows the closed bracket in list order.
+    for (const char* name : {"probe", "watchdog", "sink"}) {
+      expected.push_back(std::string(name) + ":begin" + round);
+    }
+    for (const char* name : {"sink", "watchdog", "probe"}) {
+      expected.push_back(std::string(name) + ":end" + round);
+    }
+    for (const char* name : {"probe", "watchdog", "sink"}) {
+      expected.push_back(std::string(name) + ":round" + round);
+    }
+  }
+  for (const char* name : {"probe", "watchdog", "sink"}) {
+    expected.push_back(std::string(name) + ":finish");
+  }
+  EXPECT_EQ(log, expected);
 }
 
-TEST(ObserverHub, FansOutInRegistrationOrder) {
-  ObserverHub hub;
-  std::vector<int> order;
-  hub.add([&order](sim::Round, const sim::Network&) { order.push_back(1); });
-  hub.add([&order](sim::Round, const sim::Network&) { order.push_back(2); });
-  hub.add([&order](sim::Round, const sim::Network&) { order.push_back(3); });
+TEST(RunObserver, SampleIsFilledToTheMostDemandingObserver) {
+  const auto run_with = [](Sampling level) {
+    std::vector<std::string> log;
+    Recorder probe("probe", log);
+    Recorder sink("sink", log, level);
+    core::ScenarioConfig config;
+    config.params = {.n = 7, .t = 2};
+    config.adversary = "split";
+    config.seed = 3;
+    config.observers = {&probe, &sink};
+    const core::ScenarioResult result = core::run_scenario(config);
+    EXPECT_EQ(probe.samples.size(), static_cast<std::size_t>(result.run.rounds));
+    return probe.samples;
+  };
 
-  const sim::RoundObserver fused = hub.as_observer();
-  ASSERT_TRUE(static_cast<bool>(fused));
-  const sim::Network network = make_idle_network();
-  fused(1, network);
-  fused(2, network);
-  EXPECT_EQ(order, (std::vector<int>{1, 2, 3, 1, 2, 3}));
-}
-
-TEST(ObserverHub, EmptyHubYieldsNullObserver) {
-  ObserverHub hub;
-  EXPECT_TRUE(hub.empty());
-  EXPECT_FALSE(static_cast<bool>(hub.as_observer()));
-  hub.add(sim::RoundObserver{});  // null observers are skipped, hub stays empty
-  EXPECT_TRUE(hub.empty());
-}
-
-TEST(Telemetry, InactiveWithoutSinks) {
-  Telemetry telemetry;
-  EXPECT_FALSE(telemetry.active());
+  // Every observer sees the same sample, filled to the list's level.
+  const std::vector<RoundSample> bare = run_with(Sampling::kNone);
+  const std::vector<RoundSample> counters = run_with(Sampling::kCounters);
+  const std::vector<RoundSample> probes = run_with(Sampling::kProbes);
+  ASSERT_FALSE(bare.empty());
+  for (const RoundSample& sample : bare) {
+    EXPECT_EQ(sample.metrics.messages, 0u);
+    EXPECT_FALSE(sample.has_acceptance);
+    EXPECT_FALSE(sample.has_rank_probes);
+  }
+  std::uint64_t messages = 0;
+  for (const RoundSample& sample : counters) {
+    messages += sample.metrics.messages;
+    EXPECT_TRUE(sample.has_acceptance);
+    EXPECT_FALSE(sample.has_rank_probes);
+  }
+  EXPECT_GT(messages, 0u);
+  EXPECT_TRUE(probes.back().has_rank_probes);
 }
 
 // --- JsonWriter ------------------------------------------------------------
@@ -273,12 +328,11 @@ struct Capture {
   JsonValue report;
 };
 
-Capture run_and_parse(core::ScenarioConfig config) {
+Capture run_and_parse(core::ScenarioConfig config, std::string label = {}) {
   std::ostringstream out;
   RunReportSink sink(out, "obs_test");
-  Telemetry telemetry;
-  telemetry.add_sink(sink);
-  config.telemetry = &telemetry;
+  sink.set_label(label);
+  config.observers = {&sink};
   Capture capture;
   capture.result = core::run_scenario(config);
   const std::string line = out.str();
@@ -294,8 +348,7 @@ TEST(RunReportSink, RoundTripsScenarioAndTotals) {
   config.params = {.n = 10, .t = 3};
   config.adversary = "asymflood";
   config.seed = 42;
-  config.telemetry_label = "row 1";
-  const Capture capture = run_and_parse(config);
+  const Capture capture = run_and_parse(config, "row 1");
   const JsonValue& report = capture.report;
   const core::ScenarioResult& result = capture.result;
   ASSERT_TRUE(result.report.all_ok()) << result.report.detail;
@@ -388,13 +441,9 @@ TEST(RunReportSink, MultipleSinksSeeTheSameRun) {
   std::ostringstream second;
   RunReportSink sink_a(first);
   RunReportSink sink_b(second, "twin");
-  Telemetry telemetry;
-  telemetry.add_sink(sink_a);
-  telemetry.add_sink(sink_b);
-
   core::ScenarioConfig config;
   config.params = {.n = 4, .t = 1};
-  config.telemetry = &telemetry;
+  config.observers = {&sink_a, &sink_b};
   (void)core::run_scenario(config);
 
   const JsonValue a = JsonReader(first.str()).parse();

@@ -6,6 +6,7 @@
 
 #include "core/harness.h"
 #include "numeric/rational.h"
+#include "obs/telemetry.h"
 
 namespace byzrename::core {
 namespace {
@@ -120,7 +121,7 @@ TEST(OpRenaming, RanksStayDeltaSeparatedEveryRound) {
   config.seed = 11;
   const Rational d = delta(config.params);
   bool checked = false;
-  config.observer = [&](sim::Round round, const sim::Network& net) {
+  obs::RoundProbe probe([&](sim::Round round, const sim::Network& net) {
     if (round <= 4) return;
     for (sim::ProcessIndex i = 0; i < net.size(); ++i) {
       if (net.is_byzantine(i)) continue;
@@ -136,7 +137,8 @@ TEST(OpRenaming, RanksStayDeltaSeparatedEveryRound) {
         previous = &it->second;
       }
     }
-  };
+  });
+  config.observers.push_back(&probe);
   const ScenarioResult result = run_scenario(config);
   EXPECT_TRUE(result.report.all_ok()) << result.report.detail;
   EXPECT_TRUE(checked);
@@ -153,7 +155,7 @@ TEST(OpRenaming, ConvergenceReachesDecisionMargin) {
       (delta(config.params) - Rational(1)) / Rational(2);
   const int last_round = expected_steps(Algorithm::kOpRenaming, config.params);
   bool checked = false;
-  config.observer = [&](sim::Round round, const sim::Network& net) {
+  obs::RoundProbe probe([&](sim::Round round, const sim::Network& net) {
     if (round != last_round) return;
     std::map<sim::Id, std::pair<Rational, Rational>> extremes;  // id -> (min, max)
     for (sim::ProcessIndex i = 0; i < net.size(); ++i) {
@@ -173,7 +175,8 @@ TEST(OpRenaming, ConvergenceReachesDecisionMargin) {
       EXPECT_LT(range.second - range.first, margin) << "id " << id;
       checked = true;
     }
-  };
+  });
+  config.observers.push_back(&probe);
   const ScenarioResult result = run_scenario(config);
   EXPECT_TRUE(result.report.all_ok()) << result.report.detail;
   EXPECT_TRUE(checked);

@@ -23,14 +23,19 @@
 #include <sstream>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "core/harness.h"
+#include "obs/complexity_audit.h"
+#include "obs/http/exposition.h"
+#include "obs/metrics_registry.h"
 #include "obs/prof/alloc_interpose.h"
 #include "obs/prof/profile_io.h"
 #include "obs/prof/profiler.h"
+#include "obs/run_report.h"
 
 namespace byzrename {
 namespace {
@@ -163,37 +168,6 @@ TEST(ProfilerTree, UnbalancedExitIsTolerated) {
   const ProfileSnapshot snapshot = profiler.snapshot();
   ASSERT_EQ(snapshot.nodes.size(), 1u);
   EXPECT_EQ(snapshot.nodes[0].calls, 1u);
-}
-
-// ---------------------------------------------------------------------------
-// Ambient (thread-local) profiler
-
-TEST(ProfilerAmbient, GuardInstallsAndRestores) {
-  EXPECT_EQ(obs::prof::thread_profiler(), nullptr);
-  Profiler outer(fake_clock_options());
-  {
-    obs::prof::ThreadProfilerGuard guard(&outer);
-    EXPECT_EQ(obs::prof::thread_profiler(), &outer);
-    {
-      Profiler inner(fake_clock_options());
-      obs::prof::ThreadProfilerGuard nested(&inner);
-      EXPECT_EQ(obs::prof::thread_profiler(), &inner);
-      obs::prof::AmbientScope scope("inner scope");
-    }
-    EXPECT_EQ(obs::prof::thread_profiler(), &outer);
-    obs::prof::AmbientScope scope("outer scope");
-  }
-  EXPECT_EQ(obs::prof::thread_profiler(), nullptr);
-  obs::prof::AmbientScope inert("no profiler installed");  // must not crash
-
-  EXPECT_EQ(find_path(outer.snapshot(), "outer scope"), 0);
-
-  // thread_local: another thread starts with no ambient profiler even
-  // while this one holds a guard.
-  obs::prof::ThreadProfilerGuard guard(&outer);
-  Profiler* seen = &outer;
-  std::thread([&seen] { seen = obs::prof::thread_profiler(); }).join();
-  EXPECT_EQ(seen, nullptr);
 }
 
 // ---------------------------------------------------------------------------
@@ -456,6 +430,45 @@ TEST(ProfilerHarness, PhaseTreeCountsAreRunInvariant) {
   EXPECT_TRUE(has("check|"));
   EXPECT_TRUE(has("run;selection|"));
   EXPECT_TRUE(has("run;voting k=1|"));
+}
+
+TEST(ProfilerHarness, SinksLeavePhaseNodesUnchanged) {
+  // Sampling and every sink run after the round bracket closes, so each
+  // run;<phase> node counts the same calls and allocations whether the
+  // run feeds every sink or none.
+  const auto phase_rows = [](core::Algorithm algorithm, const char* adversary, bool sinks) {
+    obs::prof::Profiler profiler;
+    core::ScenarioConfig config;
+    config.algorithm = algorithm;
+    config.params = {.n = 11, .t = 2};
+    config.adversary = adversary;
+    config.seed = 21;
+    config.profiler = &profiler;
+    std::ostringstream report;
+    obs::RunReportSink run_sink(report);
+    obs::MetricsSink metrics;
+    obs::ComplexityAuditor auditor;
+    obs::GuardedMetricsSink live;
+    if (sinks) config.observers = {&run_sink, &metrics, &auditor, &live};
+    EXPECT_TRUE(core::run_scenario(config).report.all_ok());
+    const ProfileSnapshot snapshot = profiler.snapshot();
+    std::vector<std::string> rows;
+    for (std::size_t i = 0; i < snapshot.nodes.size(); ++i) {
+      const std::string path = snapshot.path(i);
+      if (path.rfind("run;", 0) != 0) continue;
+      rows.push_back(path + "|calls=" + std::to_string(snapshot.nodes[i].calls) +
+                     "|allocs=" + std::to_string(snapshot.nodes[i].allocs));
+    }
+    return rows;
+  };
+  for (const auto& [algorithm, adversary] :
+       {std::pair{core::Algorithm::kOpRenaming, "split"},
+        std::pair{core::Algorithm::kFastRenaming, "suppress"}}) {
+    (void)phase_rows(algorithm, adversary, false);  // one-time lazy initialization
+    const std::vector<std::string> bare = phase_rows(algorithm, adversary, false);
+    EXPECT_FALSE(bare.empty());
+    EXPECT_EQ(phase_rows(algorithm, adversary, true), bare) << adversary;
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -4,11 +4,15 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
+#include <cstdint>
 #include <limits>
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <thread>
 
+#include "core/harness.h"
 #include "exp/repro.h"
 #include "exp/shrink.h"
 #include "obs/json_parse.h"
@@ -51,6 +55,20 @@ TEST(EvaluateScenario, ExceptionsBecomeVerdictsNotThrows) {
   const exp::ReproVerdict verdict = exp::evaluate_scenario(scenario);
   EXPECT_EQ(verdict.kind, exp::FailureKind::kException);
   EXPECT_FALSE(verdict.detail.empty());
+}
+
+TEST(VerdictOf, DigestsEveryFieldOfAFinishedRun) {
+  const exp::ReproScenario scenario = failing_scenario();
+  const core::ScenarioResult result = core::run_scenario(scenario.to_config());
+  const exp::ReproVerdict verdict = exp::verdict_of(result);
+  EXPECT_EQ(verdict.kind, exp::FailureKind::kViolation);
+  EXPECT_EQ(verdict.classes, result.report.classes());
+  EXPECT_EQ(verdict.detail, result.report.detail);
+  EXPECT_EQ(verdict.rounds, result.run.rounds);
+  EXPECT_EQ(verdict.terminated, result.run.terminated);
+  EXPECT_EQ(verdict.max_name, static_cast<std::int64_t>(result.report.max_name));
+  // evaluate_scenario is the same digest of the same deterministic run.
+  EXPECT_EQ(verdict, exp::evaluate_scenario(scenario));
 }
 
 TEST(SameFailure, MatchesByKindSpecificFields) {
@@ -252,6 +270,19 @@ TEST(Watchdog, DeadlineObserverThrowsPastTimeout) {
   // ...while an already-expired one converts the run into a timeout
   // verdict at the first round boundary.
   EXPECT_EQ(exp::evaluate_scenario(scenario, 1e-9).kind, exp::FailureKind::kTimeout);
+}
+
+TEST(Watchdog, DeadlineStartsAtConstruction) {
+  exp::ReproScenario scenario;
+  scenario.params = {.n = 7, .t = 2};
+  core::ScenarioConfig config = scenario.to_config();
+  // The 50 ms deadline runs out before the watchdog is attached, so the
+  // first round boundary already throws; a deadline counted from run
+  // start would never fire on this millisecond-scale run.
+  exp::Watchdog watchdog(0.05);
+  std::this_thread::sleep_for(std::chrono::milliseconds(100));
+  config.observers.push_back(&watchdog);
+  EXPECT_THROW((void)core::run_scenario(config), exp::RunTimeoutError);
 }
 
 }  // namespace

@@ -14,6 +14,7 @@
 #include "core/op_renaming.h"
 #include "core/probe.h"
 #include "numeric/rational.h"
+#include "obs/telemetry.h"
 
 namespace byzrename::core {
 namespace {
@@ -21,11 +22,12 @@ namespace {
 using numeric::Rational;
 
 /// Max spread of any id's rank across correct processes at round @p at.
-Rational spread_at_round(ScenarioConfig& config, sim::Round at) {
+Rational spread_at_round(ScenarioConfig config, sim::Round at) {
   Rational spread;
-  config.observer = [&spread, at](sim::Round round, const sim::Network& net) {
+  obs::RoundProbe probe([&spread, at](sim::Round round, const sim::Network& net) {
     if (round == at) spread = max_rank_spread(net);
-  };
+  });
+  config.observers.push_back(&probe);
   (void)run_scenario(config);
   return spread;
 }
@@ -52,7 +54,7 @@ TEST(AsymFlood, FakesStayOutOfEveryTimelySet) {
   config.adversary = "asymflood";
   config.seed = 1;
   bool checked = false;
-  config.observer = [&checked](sim::Round round, const sim::Network& net) {
+  obs::RoundProbe probe([&checked](sim::Round round, const sim::Network& net) {
     if (round != 4) return;
     for (sim::ProcessIndex i = 0; i < net.size(); ++i) {
       if (net.is_byzantine(i)) continue;
@@ -61,7 +63,8 @@ TEST(AsymFlood, FakesStayOutOfEveryTimelySet) {
       EXPECT_EQ(op.timely().size(), 9u);
       checked = true;
     }
-  };
+  });
+  config.observers.push_back(&probe);
   const ScenarioResult result = run_scenario(config);
   EXPECT_TRUE(checked);
   EXPECT_TRUE(result.report.all_ok()) << result.report.detail;
@@ -105,9 +108,10 @@ TEST(AsymFlood, SaturatesLemmaVI1Against2StepAlgorithm) {
     config.adversary = "asymflood";
     config.seed = 1;
     sim::Name max_discrepancy = 0;
-    config.observer = [&max_discrepancy](sim::Round round, const sim::Network& net) {
+    obs::RoundProbe probe([&max_discrepancy](sim::Round round, const sim::Network& net) {
       if (round == 2) max_discrepancy = fast_name_stats(net).max_discrepancy;
-    };
+    });
+    config.observers.push_back(&probe);
     const ScenarioResult result = run_scenario(config);
     EXPECT_TRUE(result.report.all_ok()) << "t=" << t << ": " << result.report.detail;
     EXPECT_EQ(max_discrepancy, 2 * t * t) << "t=" << t;
@@ -123,7 +127,7 @@ TEST(AsymFlood, CorollaryIV5TimelyIdsAreNeverDropped) {
   config.adversary = "asymflood";
   config.seed = 4;
   bool checked = false;
-  config.observer = [&checked](sim::Round round, const sim::Network& net) {
+  obs::RoundProbe probe([&checked](sim::Round round, const sim::Network& net) {
     if (round <= 4) return;
     for (sim::ProcessIndex i = 0; i < net.size(); ++i) {
       if (net.is_byzantine(i)) continue;
@@ -136,7 +140,8 @@ TEST(AsymFlood, CorollaryIV5TimelyIdsAreNeverDropped) {
         checked = true;
       }
     }
-  };
+  });
+  config.observers.push_back(&probe);
   const ScenarioResult result = run_scenario(config);
   EXPECT_TRUE(result.report.all_ok()) << result.report.detail;
   EXPECT_TRUE(checked);

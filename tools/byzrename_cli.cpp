@@ -66,6 +66,21 @@ extern "C" void handle_interrupt(int) {
 /// not a std::exception so the generic error path cannot swallow it.
 struct InterruptedRun {};
 
+/// Writes one output file through @p render; an empty @p path writes
+/// nothing. Returns false (after saying why) when the path cannot be
+/// opened.
+template <class Render>
+bool write_file(const std::string& path, const char* flag, const Render& render) {
+  if (path.empty()) return true;
+  std::ofstream out(path, std::ios::trunc);
+  if (!out.is_open()) {
+    std::cerr << "byzrename: cannot open " << flag << " path: " << path << '\n';
+    return false;
+  }
+  render(out);
+  return true;
+}
+
 void print_usage() {
   std::cout <<
       "usage: byzrename [options]\n"
@@ -544,9 +559,20 @@ int main(int argc, char** argv) {
     return result.all_ok() ? 0 : 1;
   }
 
-  // Telemetry wiring: a JSONL file sink, a stdout report sink, and a
-  // structured event log for the trace-event exporter — all optional.
-  obs::Telemetry telemetry;
+  // Observer wiring, in list order: the interrupt check, then the
+  // optional sinks (a JSONL file report, a stdout report, metrics, the
+  // auditor, the live registry). The structured event log for the
+  // trace-event exporter is attached separately.
+  //
+  // SIGINT/SIGTERM abort the run at the next round boundary (the same
+  // cooperative granularity as the repro watchdog), after which every
+  // sink flushes what it collected and the process exits 130 — a
+  // Ctrl-C'd run leaves valid partial artifacts, not truncated files.
+  obs::RoundProbe interrupt_check([](sim::Round, const sim::Network&) {
+    if (g_interrupted.load(std::memory_order_acquire)) throw InterruptedRun{};
+  });
+  std::vector<obs::RunObserver*>& observers = options.config.observers;
+  observers.push_back(&interrupt_check);
   std::ofstream json_out;
   std::optional<obs::RunReportSink> json_sink;
   if (!options.json_path.empty()) {
@@ -555,24 +581,16 @@ int main(int argc, char** argv) {
       std::cerr << "byzrename: cannot open --json path: " << options.json_path << '\n';
       return 2;
     }
-    json_sink.emplace(json_out);
-    telemetry.add_sink(*json_sink);
+    observers.push_back(&json_sink.emplace(json_out));
   }
   std::optional<obs::RunReportSink> stdout_sink;
-  if (options.report) {
-    stdout_sink.emplace(std::cout);
-    telemetry.add_sink(*stdout_sink);
-  }
+  if (options.report) observers.push_back(&stdout_sink.emplace(std::cout));
   std::optional<obs::MetricsSink> metrics_sink;
   if (!options.metrics_out_path.empty() || !options.metrics_jsonl_path.empty()) {
-    metrics_sink.emplace();
-    telemetry.add_sink(*metrics_sink);
+    observers.push_back(&metrics_sink.emplace());
   }
   std::optional<obs::ComplexityAuditor> auditor;
-  if (options.audit) {
-    auditor.emplace();
-    telemetry.add_sink(*auditor);
-  }
+  if (options.audit) observers.push_back(&auditor.emplace());
 
   // Live telemetry plane for a single run: a mutex-guarded metrics sink
   // feeds the run's registry to GET /metrics while the round loop is
@@ -590,8 +608,7 @@ int main(int argc, char** argv) {
     options.config.profiler = &*profiler;
   }
   if (live) {
-    live_sink.emplace();
-    telemetry.add_sink(*live_sink);
+    observers.push_back(&live_sink.emplace());
     std::vector<exp::CampaignCell> cells(1);
     cells[0].algorithm = options.config.algorithm;
     cells[0].params = options.config.params;
@@ -629,36 +646,22 @@ int main(int argc, char** argv) {
 
   trace::EventLog event_log;
   if (!options.trace_out_path.empty()) options.config.event_log = &event_log;
-  if (telemetry.active()) options.config.telemetry = &telemetry;
 
-  // Interrupt hook: SIGINT/SIGTERM abort the run at the next round
-  // boundary (the same cooperative granularity as the repro watchdog),
-  // after which every sink flushes what it collected and the process
-  // exits 130 — a Ctrl-C'd run leaves valid partial artifacts, not
-  // truncated files.
-  options.config.observer = [prev = std::move(options.config.observer)](
-                                sim::Round round, const sim::Network& network) {
-    if (prev) prev(round, network);
-    if (g_interrupted.load(std::memory_order_acquire)) throw InterruptedRun{};
-  };
-
-  // Partial flush targets for the interrupt path; the normal path writes
-  // the same files with complete data further down.
-  const auto flush_partial_sinks = [&]() {
-    if (!options.prom_out_path.empty()) {
-      std::ofstream prom(options.prom_out_path, std::ios::trunc);
-      if (prom.is_open()) hub.write(prom);
-    }
+  // The files that carry the run's metrics: written once the run
+  // finished, and with partial data when it was interrupted. Returns
+  // false (after saying why) when a path cannot be opened.
+  const auto write_metrics_files = [&]() {
+    bool ok = write_file(options.prom_out_path, "--prom-out",
+                         [&](std::ostream& os) { hub.write(os); });
     if (metrics_sink.has_value()) {
-      if (!options.metrics_out_path.empty()) {
-        std::ofstream metrics_out(options.metrics_out_path, std::ios::trunc);
-        if (metrics_out.is_open()) metrics_sink->write_prometheus(metrics_out);
-      }
-      if (!options.metrics_jsonl_path.empty()) {
-        std::ofstream metrics_jsonl(options.metrics_jsonl_path, std::ios::trunc);
-        if (metrics_jsonl.is_open()) metrics_sink->write_metrics_jsonl(metrics_jsonl);
-      }
+      ok = write_file(options.metrics_out_path, "--metrics-out",
+                      [&](std::ostream& os) { metrics_sink->write_prometheus(os); }) &&
+           ok;
+      ok = write_file(options.metrics_jsonl_path, "--metrics-jsonl",
+                      [&](std::ostream& os) { metrics_sink->write_metrics_jsonl(os); }) &&
+           ok;
     }
+    return ok;
   };
 
   core::ScenarioResult result;
@@ -667,7 +670,7 @@ int main(int argc, char** argv) {
     result = core::run_scenario(options.config);
   } catch (const InterruptedRun&) {
     if (live) progress.finish(/*interrupted=*/true);
-    flush_partial_sinks();
+    (void)write_metrics_files();
     std::cerr << "byzrename: interrupted; partial sinks flushed\n";
     return 130;
   } catch (const std::exception& error) {
@@ -679,33 +682,20 @@ int main(int argc, char** argv) {
     progress.finish(/*interrupted=*/false);
   }
 
-  if (!options.prom_out_path.empty()) {
-    std::ofstream prom(options.prom_out_path, std::ios::trunc);
-    if (!prom.is_open()) {
-      std::cerr << "byzrename: cannot open --prom-out path: " << options.prom_out_path << '\n';
-      return 2;
-    }
-    hub.write(prom);
-  }
+  if (!write_metrics_files()) return 2;
 
   std::optional<obs::prof::ProfileSnapshot> profile_snapshot;
   if (profiler) profile_snapshot = profiler->snapshot();
-  if (profile_snapshot && !options.profile_out_path.empty()) {
-    std::ofstream profile_out(options.profile_out_path, std::ios::trunc);
-    if (!profile_out.is_open()) {
-      std::cerr << "byzrename: cannot open --profile-out path: " << options.profile_out_path
-                << '\n';
+  if (profile_snapshot) {
+    const obs::prof::ProfileSnapshot& snapshot = *profile_snapshot;
+    if (!write_file(options.profile_out_path, "--profile-out",
+                    [&](std::ostream& os) {
+                      obs::prof::write_profile_json(os, snapshot, "cli-single");
+                    }) ||
+        !write_file(options.flame_out_path, "--flame-out",
+                    [&](std::ostream& os) { obs::prof::write_collapsed(os, snapshot); })) {
       return 2;
     }
-    obs::prof::write_profile_json(profile_out, *profile_snapshot, "cli-single");
-  }
-  if (profile_snapshot && !options.flame_out_path.empty()) {
-    std::ofstream flame_out(options.flame_out_path, std::ios::trunc);
-    if (!flame_out.is_open()) {
-      std::cerr << "byzrename: cannot open --flame-out path: " << options.flame_out_path << '\n';
-      return 2;
-    }
-    obs::prof::write_collapsed(flame_out, *profile_snapshot);
   }
 
   if (!options.trace_out_path.empty()) {
@@ -744,70 +734,32 @@ int main(int argc, char** argv) {
     obs::write_chrome_trace(trace_out, event_log, meta);
   }
 
-  if (metrics_sink.has_value()) {
-    if (!options.metrics_out_path.empty()) {
-      std::ofstream metrics_out(options.metrics_out_path, std::ios::trunc);
-      if (!metrics_out.is_open()) {
-        std::cerr << "byzrename: cannot open --metrics-out path: " << options.metrics_out_path
-                  << '\n';
-        return 2;
-      }
-      metrics_sink->write_prometheus(metrics_out);
-    }
-    if (!options.metrics_jsonl_path.empty()) {
-      std::ofstream metrics_jsonl(options.metrics_jsonl_path, std::ios::trunc);
-      if (!metrics_jsonl.is_open()) {
-        std::cerr << "byzrename: cannot open --metrics-jsonl path: "
-                  << options.metrics_jsonl_path << '\n';
-        return 2;
-      }
-      metrics_sink->write_metrics_jsonl(metrics_jsonl);
-    }
-  }
-
-  if (!options.verdict_out_path.empty()) {
-    std::ofstream verdict_out(options.verdict_out_path, std::ios::trunc);
-    if (!verdict_out.is_open()) {
-      std::cerr << "byzrename: cannot open --verdict-out path: " << options.verdict_out_path
-                << '\n';
-      return 2;
-    }
-    // The portable scenario + the digest evaluate_scenario would have
-    // produced for it. Both serialize through the shared exp:: writers,
-    // so this document is byte-identical to the byzrenamed service's
-    // verdict for the same submission — the CI smoke test diffs them.
-    exp::ReproScenario scenario;
-    scenario.algorithm = options.config.algorithm;
-    scenario.params = options.config.params;
-    scenario.adversary = options.config.adversary;
-    scenario.actual_faults = options.config.actual_faults;
-    scenario.seed = options.config.seed;
-    scenario.iterations = options.config.options.approximation_iterations;
-    scenario.validate_votes = options.config.options.validate_votes;
-    scenario.extra_rounds = options.config.extra_rounds;
-    scenario.fault_plan = options.config.fault_plan;
-    exp::ReproVerdict verdict;
-    verdict.kind =
-        result.report.all_ok() ? exp::FailureKind::kNone : exp::FailureKind::kViolation;
-    verdict.classes = result.report.classes();
-    verdict.detail = result.report.detail;
-    verdict.rounds = result.run.rounds;
-    verdict.terminated = result.run.terminated;
-    verdict.max_name = static_cast<std::int64_t>(result.report.max_name);
-    svc::write_verdict_document(verdict_out, scenario, verdict);
+  // The portable scenario + the digest evaluate_scenario would have
+  // produced for it. Both serialize through the shared exp:: writers, so
+  // this document is byte-identical to the byzrenamed service's verdict
+  // for the same submission — the CI smoke test diffs them.
+  if (!write_file(options.verdict_out_path, "--verdict-out", [&](std::ostream& os) {
+        exp::ReproScenario scenario;
+        scenario.algorithm = options.config.algorithm;
+        scenario.params = options.config.params;
+        scenario.adversary = options.config.adversary;
+        scenario.actual_faults = options.config.actual_faults;
+        scenario.seed = options.config.seed;
+        scenario.iterations = options.config.options.approximation_iterations;
+        scenario.validate_votes = options.config.options.validate_votes;
+        scenario.extra_rounds = options.config.extra_rounds;
+        scenario.fault_plan = options.config.fault_plan;
+        svc::write_verdict_document(os, scenario, exp::verdict_of(result));
+      })) {
+    return 2;
   }
 
   bool audit_ok = true;
   if (auditor.has_value()) {
     audit_ok = auditor->all_ok();
-    if (!options.audit_out_path.empty()) {
-      std::ofstream audit_out(options.audit_out_path, std::ios::trunc);
-      if (!audit_out.is_open()) {
-        std::cerr << "byzrename: cannot open --audit-out path: " << options.audit_out_path
-                  << '\n';
-        return 2;
-      }
-      auditor->write_audit_jsonl(audit_out);
+    if (!write_file(options.audit_out_path, "--audit-out",
+                    [&](std::ostream& os) { auditor->write_audit_jsonl(os); })) {
+      return 2;
     }
     if (!options.quiet || !audit_ok) {
       if (audit_ok) {
