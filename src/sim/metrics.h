@@ -36,6 +36,8 @@ struct RoundMetrics {
   /// phase is observable, not just the whole-run maximum.
   std::size_t max_message_bits = 0;
   std::size_t max_correct_message_bits = 0;
+
+  friend bool operator==(const RoundMetrics&, const RoundMetrics&) = default;
 };
 
 /// Aggregated communication metrics for a whole run. Totals are
@@ -57,19 +59,9 @@ class Metrics {
     totals_.injected_delays += round.injected_delays;
     totals_.injected_forgeries += round.injected_forgeries;
     totals_.injected_restarts += round.injected_restarts;
-    // Max folds are idempotent with note_message_bits, so rounds built
-    // either way (per-message notes or per-round maxima) agree.
-    max_message_bits_ = std::max(max_message_bits_, round.max_message_bits);
-    max_correct_message_bits_ =
-        std::max(max_correct_message_bits_, round.max_correct_message_bits);
-  }
-
-  /// Tracks the largest single message seen on the wire.
-  void note_message_bits(std::size_t bits, bool correct_sender) {
-    max_message_bits_ = std::max(max_message_bits_, bits);
-    if (correct_sender) {
-      max_correct_message_bits_ = std::max(max_correct_message_bits_, bits);
-    }
+    totals_.max_message_bits = std::max(totals_.max_message_bits, round.max_message_bits);
+    totals_.max_correct_message_bits =
+        std::max(totals_.max_correct_message_bits, round.max_correct_message_bits);
   }
 
   [[nodiscard]] const std::vector<RoundMetrics>& per_round() const noexcept { return per_round_; }
@@ -101,17 +93,16 @@ class Metrics {
   }
 
   /// Largest single message (any sender).
-  [[nodiscard]] std::size_t max_message_bits() const noexcept { return max_message_bits_; }
+  [[nodiscard]] std::size_t max_message_bits() const noexcept { return totals_.max_message_bits; }
   /// Largest single message from a correct sender.
   [[nodiscard]] std::size_t max_correct_message_bits() const noexcept {
-    return max_correct_message_bits_;
+    return totals_.max_correct_message_bits;
   }
 
  private:
   std::vector<RoundMetrics> per_round_;
+  /// Sums of the per-round counters; its max_* fields are maxima.
   RoundMetrics totals_;
-  std::size_t max_message_bits_ = 0;
-  std::size_t max_correct_message_bits_ = 0;
 };
 
 }  // namespace byzrename::sim

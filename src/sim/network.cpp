@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <numeric>
 #include <stdexcept>
+#include <string>
 #include <utility>
 
 #include "sim/codec.h"
@@ -37,17 +38,47 @@ Network::Network(std::vector<std::unique_ptr<ProcessBehavior>> behaviors,
   }
   inboxes_.resize(n);
   link_offsets_.resize(n + 1);
+  down_.assign(n, 0);
   restarted_.assign(n, false);
   round_offset_.assign(n, 0);
 }
 
+template <typename Note>
+void Network::record_fault(RoundMetrics& metrics, const RoundMetrics& counted, Round round,
+                           std::size_t actor, LinkIndex link, Note&& note) {
+  metrics.injected_drops += counted.injected_drops;
+  metrics.injected_duplicates += counted.injected_duplicates;
+  metrics.injected_delays += counted.injected_delays;
+  metrics.injected_forgeries += counted.injected_forgeries;
+  metrics.injected_restarts += counted.injected_restarts;
+  if (event_log_ != nullptr) {
+    event_log_->record({round, trace::Event::Kind::kFault, static_cast<ProcessIndex>(actor),
+                        std::nullopt, link, byzantine_[actor], note()});
+  }
+}
+
+std::vector<std::pair<std::size_t, Delivery>>& Network::delayed_batch(Round due) {
+  for (DelayedBatch& batch : delayed_) {
+    if (batch.due == due) return batch.entries;
+  }
+  delayed_.push_back({due, {}});
+  return delayed_.back().entries;
+}
+
 void Network::run_round(Round round) {
   const std::size_t n = behaviors_.size();
+  const FaultInjector* injector = fault_injector_;
   // Reuse the per-receiver buffers: clear drops last round's payload refs
   // but keeps each vector's capacity, so steady-state rounds perform no
   // inbox (re)allocation at all.
   for (Inbox& inbox : inboxes_) inbox.clear();
   RoundMetrics round_metrics;
+  // Crash status, read once and shared by every step of the round: a
+  // crashed process neither sends nor receives, loses the delayed
+  // deliveries due to it, and is spared forgeries.
+  for (std::size_t i = 0; i < n; ++i) {
+    down_[i] = injector != nullptr && injector->crashed(static_cast<ProcessIndex>(i), round);
+  }
 
   // Transient restarts (Lenzen–Rybicki): at the START of the event's
   // round the process is handed a fresh behavior, forgets any decision,
@@ -55,8 +86,8 @@ void Network::run_round(Round round) {
   // local round counter resets to 1 (kReset) or to a hash-derived wrong
   // value in [1, round] (kScramble). Processed before the delayed flush
   // so deliveries due this very round are lost too.
-  if (fault_injector_ != nullptr && behavior_factory_) {
-    const std::vector<RestartEvent>& restarts = fault_injector_->plan().restarts;
+  if (injector != nullptr && behavior_factory_) {
+    const std::vector<RestartEvent>& restarts = injector->plan().restarts;
     for (std::size_t e = 0; e < restarts.size(); ++e) {
       const RestartEvent& event = restarts[e];
       const auto pid = static_cast<std::size_t>(event.process);
@@ -65,24 +96,20 @@ void Network::run_round(Round round) {
       restarted_[pid] = true;
       done_[pid] = false;
       decided_round_[pid] = 0;
-      int skew = 0;
-      if (event.state == RestartState::kScramble) {
-        skew = fault_injector_->restart_skew(e, event);
-      }
+      const bool scramble = event.state == RestartState::kScramble;
+      const int skew = scramble ? injector->restart_skew(e, event) : 0;
       round_offset_[pid] = 1 - static_cast<int>(round) + skew;
+      record_fault(round_metrics, {.injected_restarts = 1}, round, pid, -1, [&] {
+        return scramble ? "restart: scramble +" + std::to_string(skew)
+                        : std::string("restart: reset");
+      });
       for (DelayedBatch& batch : delayed_) {
-        const std::size_t lost = std::erase_if(
-            batch.entries, [&](const auto& entry) { return entry.first == pid; });
-        round_metrics.injected_drops += lost;
-      }
-      round_metrics.injected_restarts += 1;
-      if (event_log_ != nullptr) {
-        std::string note = "restart: reset";
-        if (event.state == RestartState::kScramble) {
-          note = "restart: scramble +" + std::to_string(skew);
+        for (const auto& [receiver, delivery] : batch.entries) {
+          if (receiver != pid) continue;
+          record_fault(round_metrics, {.injected_drops = 1}, round, pid, delivery.link,
+                       [] { return "restart: delayed delivery lost"; });
         }
-        event_log_->record({round, trace::Event::Kind::kFault, event.process, std::nullopt,
-                            -1, false, std::move(note)});
+        std::erase_if(batch.entries, [pid](const auto& entry) { return entry.first == pid; });
       }
     }
   }
@@ -93,15 +120,9 @@ void Network::run_round(Round round) {
   for (auto it = delayed_.begin(); it != delayed_.end(); ++it) {
     if (it->due != round) continue;
     for (auto& [receiver, delivery] : it->entries) {
-      if (fault_injector_ != nullptr &&
-          fault_injector_->crashed(static_cast<ProcessIndex>(receiver), round)) {
-        round_metrics.injected_drops += 1;
-        if (event_log_ != nullptr) {
-          event_log_->record({round, trace::Event::Kind::kFault,
-                              static_cast<ProcessIndex>(receiver), std::nullopt,
-                              delivery.link, byzantine_[receiver],
-                              "crash: delayed delivery lost"});
-        }
+      if (down_[receiver] != 0) {
+        record_fault(round_metrics, {.injected_drops = 1}, round, receiver, delivery.link,
+                     [] { return "crash: delayed delivery lost"; });
         continue;
       }
       inboxes_[receiver].push_back(std::move(delivery));
@@ -113,13 +134,8 @@ void Network::run_round(Round round) {
   for (std::size_t sender = 0; sender < n; ++sender) {
     // A crashed process takes no send action at all; on recovery it
     // resumes the protocol from its pre-crash state.
-    if (fault_injector_ != nullptr &&
-        fault_injector_->crashed(static_cast<ProcessIndex>(sender), round)) {
-      if (event_log_ != nullptr) {
-        event_log_->record({round, trace::Event::Kind::kFault,
-                            static_cast<ProcessIndex>(sender), std::nullopt, -1,
-                            byzantine_[sender], "crash: no send"});
-      }
+    if (down_[sender] != 0) {
+      record_fault(round_metrics, {}, round, sender, -1, [] { return "crash: no send"; });
       continue;
     }
     Outbox out(byzantine_[sender]);
@@ -131,102 +147,74 @@ void Network::run_round(Round round) {
                             static_cast<ProcessIndex>(sender), entry.dest, -1,
                             byzantine_[sender], describe(*entry.payload)});
       }
-      // Charge the exact size the binary codec produces, so the paper's
+      // A broadcast fans out to every receiver, a targeted send to one.
+      std::size_t first = 0;
+      std::size_t last = n;
+      if (entry.dest.has_value()) {
+        first = static_cast<std::size_t>(*entry.dest);
+        if (first >= n) throw std::out_of_range("Network: send_to destination out of range");
+        last = first + 1;
+        if (byzantine_[sender]) round_metrics.equivocating_sends += 1;
+      }
+      std::size_t reached = 0;
+      for (std::size_t receiver = first; receiver < last; ++receiver) {
+        const LinkIndex link = link_of_sender_[receiver][sender];
+        // Without an injector every delivery keeps the default fate.
+        FaultInjector::Fate fate;
+        if (injector != nullptr) {
+          fate = injector->fate(round, static_cast<ProcessIndex>(sender),
+                                static_cast<ProcessIndex>(receiver));
+          if (fate.drop) {
+            record_fault(round_metrics, {.injected_drops = 1}, round, receiver, link,
+                         [] { return "drop"; });
+            continue;
+          }
+          if (fate.copies > 1 || fate.delay > 0) {
+            const RoundMetrics counted{
+                .injected_duplicates = static_cast<std::size_t>(fate.copies - 1),
+                .injected_delays = fate.delay > 0 ? 1u : 0u};
+            record_fault(round_metrics, counted, round, receiver, link, [&fate] {
+              std::string note;
+              if (fate.copies > 1) note = "dup x" + std::to_string(fate.copies);
+              if (fate.delay > 0) {
+                if (!note.empty()) note += ", ";
+                note += "delay +" + std::to_string(fate.delay);
+              }
+              return note;
+            });
+          }
+        }
+        reached += 1;
+        // Sharing, not copying: the delivery aliases the sender's single
+        // payload object behind one refcount bump, and its last copy is
+        // moved into place. Extra copies of a duplicated delivery travel
+        // with it, delayed or not.
+        Delivery delivery{link, entry.payload};
+        if (fate.delay > 0) {
+          auto& batch = delayed_batch(round + fate.delay);
+          for (int copy = 1; copy < fate.copies; ++copy) batch.emplace_back(receiver, delivery);
+          batch.emplace_back(receiver, std::move(delivery));
+        } else {
+          Inbox& inbox = inboxes_[receiver];
+          for (int copy = 1; copy < fate.copies; ++copy) inbox.push_back(delivery);
+          inbox.push_back(std::move(delivery));
+        }
+      }
+      if (reached == 0) continue;
+      // Charged once per entry from the count of receivers reached, at
+      // the exact size the binary codec produces, so the paper's
       // bit-complexity bounds are checked against a real encoding. The
       // size is memoized per payload object: a face shared by many
       // targeted entries is sized once.
       const std::size_t payload_bits = entry.payload.encoded_bits();
-      if (entry.dest.has_value() && byzantine_[sender]) round_metrics.equivocating_sends += 1;
-      auto deliver = [&](std::size_t receiver) {
-        FaultInjector::Fate fate;
-        if (fault_injector_ != nullptr) {
-          fate = fault_injector_->fate(round, static_cast<ProcessIndex>(sender),
-                                       static_cast<ProcessIndex>(receiver));
-        }
-        if (fate.drop) {
-          round_metrics.injected_drops += 1;
-          if (event_log_ != nullptr) {
-            event_log_->record({round, trace::Event::Kind::kFault,
-                                static_cast<ProcessIndex>(receiver), std::nullopt,
-                                link_of_sender_[receiver][sender], byzantine_[receiver],
-                                "drop"});
-          }
-          return;
-        }
-        round_metrics.messages += 1;
-        round_metrics.bits += payload_bits;
-        round_metrics.max_message_bits = std::max(round_metrics.max_message_bits, payload_bits);
-        if (!byzantine_[sender]) {
-          round_metrics.correct_messages += 1;
-          round_metrics.correct_bits += payload_bits;
-          round_metrics.max_correct_message_bits =
-              std::max(round_metrics.max_correct_message_bits, payload_bits);
-        }
-        // Sharing, not copying: the delivery aliases the sender's single
-        // payload object behind a refcount bump.
-        const Delivery delivery{link_of_sender_[receiver][sender], entry.payload};
-        if (event_log_ != nullptr && (fate.delay > 0 || fate.copies > 1)) {
-          std::string note;
-          if (fate.copies > 1) note = "dup x" + std::to_string(fate.copies);
-          if (fate.delay > 0) {
-            if (!note.empty()) note += ", ";
-            note += "delay +" + std::to_string(fate.delay);
-          }
-          event_log_->record({round, trace::Event::Kind::kFault,
-                              static_cast<ProcessIndex>(receiver), std::nullopt,
-                              delivery.link, byzantine_[receiver], std::move(note)});
-        }
-        if (fate.delay > 0) {
-          round_metrics.injected_delays += 1;
-          std::vector<std::pair<std::size_t, Delivery>>* batch = nullptr;
-          for (DelayedBatch& candidate : delayed_) {
-            if (candidate.due == round + fate.delay) {
-              batch = &candidate.entries;
-              break;
-            }
-          }
-          if (batch == nullptr) {
-            delayed_.push_back({round + fate.delay, {}});
-            batch = &delayed_.back().entries;
-          }
-          // A delivery that is both duplicated and delayed keeps its
-          // extra copies: they travel with the delayed message.
-          batch->emplace_back(receiver, delivery);
-          for (int copy = 1; copy < fate.copies; ++copy) {
-            round_metrics.injected_duplicates += 1;
-            batch->emplace_back(receiver, delivery);
-          }
-          return;
-        }
-        inboxes_[receiver].push_back(delivery);
-        for (int copy = 1; copy < fate.copies; ++copy) {
-          round_metrics.injected_duplicates += 1;
-          inboxes_[receiver].push_back(delivery);
-        }
-      };
-      if (entry.dest.has_value()) {
-        const auto dest = static_cast<std::size_t>(*entry.dest);
-        if (dest >= n) throw std::out_of_range("Network: send_to destination out of range");
-        deliver(dest);
-      } else if (fault_injector_ == nullptr && event_log_ == nullptr) {
-        // Fault-free, untraced broadcast: identical bookkeeping to n
-        // deliver() calls, folded out of the fan-out loop. The O(N^2)
-        // echo steps (and every voting round) take this path in
-        // benchmarks and clean campaigns.
-        round_metrics.messages += n;
-        round_metrics.bits += n * payload_bits;
-        round_metrics.max_message_bits = std::max(round_metrics.max_message_bits, payload_bits);
-        if (!byzantine_[sender]) {
-          round_metrics.correct_messages += n;
-          round_metrics.correct_bits += n * payload_bits;
-          round_metrics.max_correct_message_bits =
-              std::max(round_metrics.max_correct_message_bits, payload_bits);
-        }
-        for (std::size_t receiver = 0; receiver < n; ++receiver) {
-          inboxes_[receiver].push_back({link_of_sender_[receiver][sender], entry.payload});
-        }
-      } else {
-        for (std::size_t receiver = 0; receiver < n; ++receiver) deliver(receiver);
+      round_metrics.messages += reached;
+      round_metrics.bits += reached * payload_bits;
+      round_metrics.max_message_bits = std::max(round_metrics.max_message_bits, payload_bits);
+      if (!byzantine_[sender]) {
+        round_metrics.correct_messages += reached;
+        round_metrics.correct_bits += reached * payload_bits;
+        round_metrics.max_correct_message_bits =
+            std::max(round_metrics.max_correct_message_bits, payload_bits);
       }
     }
   }
@@ -236,14 +224,13 @@ void Network::run_round(Round round) {
   // spoofed sender's real messages use. Forgeries are not charged to
   // messages/bits — the impersonator is outside the system, and those
   // counters feed the paper's complexity budgets.
-  if (fault_injector_ != nullptr && !fault_injector_->plan().forges.empty()) {
-    const std::vector<ForgeRule>& forges = fault_injector_->plan().forges;
+  if (injector != nullptr && !injector->plan().forges.empty()) {
+    const std::vector<ForgeRule>& forges = injector->plan().forges;
     for (std::size_t receiver = 0; receiver < n; ++receiver) {
-      if (byzantine_[receiver]) continue;
-      if (fault_injector_->crashed(static_cast<ProcessIndex>(receiver), round)) continue;
+      if (byzantine_[receiver] || down_[receiver] != 0) continue;
       forged_scratch_.clear();
-      fault_injector_->forged(round, static_cast<ProcessIndex>(receiver),
-                              static_cast<int>(n), forged_scratch_);
+      injector->forged(round, static_cast<ProcessIndex>(receiver), static_cast<int>(n),
+                       forged_scratch_);
       for (const FaultInjector::ForgedMessage& forged : forged_scratch_) {
         PayloadRef payload;
         if (forgery_source_ != nullptr) {
@@ -256,31 +243,22 @@ void Network::run_round(Round round) {
           payload = IdMsg{static_cast<Id>(forged.entropy >> 32)};
         }
         if (!payload) continue;  // strategy declined the slot
-        const std::size_t spoofed = static_cast<std::size_t>(forged.spoofed_sender);
-        inboxes_[receiver].push_back({link_of_sender_[receiver][spoofed], payload});
-        round_metrics.injected_forgeries += 1;
-        if (event_log_ != nullptr) {
-          event_log_->record({round, trace::Event::Kind::kFault,
-                              static_cast<ProcessIndex>(receiver), std::nullopt,
-                              link_of_sender_[receiver][spoofed], byzantine_[receiver],
-                              "forge: as p" + std::to_string(forged.spoofed_sender) + " " +
-                                  describe(*payload)});
-        }
+        const LinkIndex link =
+            link_of_sender_[receiver][static_cast<std::size_t>(forged.spoofed_sender)];
+        inboxes_[receiver].push_back({link, payload});
+        record_fault(round_metrics, {.injected_forgeries = 1}, round, receiver, link, [&] {
+          return "forge: as p" + std::to_string(forged.spoofed_sender) + " " +
+                 describe(*payload);
+        });
       }
     }
   }
-  metrics_.add_round(round_metrics);
 
   for (std::size_t receiver = 0; receiver < n; ++receiver) {
     // A crashed process takes no receive action either; its (empty)
     // inbox for this round is gone for good.
-    if (fault_injector_ != nullptr &&
-        fault_injector_->crashed(static_cast<ProcessIndex>(receiver), round)) {
-      if (event_log_ != nullptr) {
-        event_log_->record({round, trace::Event::Kind::kFault,
-                            static_cast<ProcessIndex>(receiver), std::nullopt, -1,
-                            byzantine_[receiver], "crash: no receive"});
-      }
+    if (down_[receiver] != 0) {
+      record_fault(round_metrics, {}, round, receiver, -1, [] { return "crash: no receive"; });
       continue;
     }
     Inbox& inbox = inboxes_[receiver];
@@ -309,6 +287,7 @@ void Network::run_round(Round round) {
     }
     behaviors_[receiver]->on_receive(round + round_offset_[receiver], inbox);
   }
+  metrics_.add_round(round_metrics);
 
   // Decision transitions: always tracked (the checker's provenance needs
   // decide rounds) and additionally fed to the trace (the trace-event

@@ -1,6 +1,7 @@
 #ifndef BYZRENAME_SIM_NETWORK_H
 #define BYZRENAME_SIM_NETWORK_H
 
+#include <cstdint>
 #include <functional>
 #include <memory>
 #include <utility>
@@ -160,6 +161,18 @@ class Network {
   std::vector<int> round_offset_;
   /// Scratch for FaultInjector::forged, pooled across rounds.
   std::vector<FaultInjector::ForgedMessage> forged_scratch_;
+  /// down_[i] != 0 while process i is inside a crash window; read from
+  /// the injector once at the start of each round.
+  std::vector<std::uint8_t> down_;
+
+  /// The one write point for injected faults: adds @p counted's
+  /// injected_* fields to @p metrics and, with a log attached, records one
+  /// kFault event at @p actor whose text @p note builds on demand.
+  template <typename Note>
+  void record_fault(RoundMetrics& metrics, const RoundMetrics& counted, Round round,
+                    std::size_t actor, LinkIndex link, Note&& note);
+  /// The delayed batch due in round @p due, created on first use.
+  std::vector<std::pair<std::size_t, Delivery>>& delayed_batch(Round due);
 };
 
 }  // namespace byzrename::sim

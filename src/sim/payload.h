@@ -228,8 +228,8 @@ struct Delivery {
 };
 
 /// All messages delivered to one process in one round. Network hands
-/// every inbox over in ascending link order (stable within a link), on
-/// every delivery path — bulk broadcast, fault injection, delayed
+/// every inbox over in ascending link order (stable within a link),
+/// whatever filled it — the fan-out of this round's sends, delayed
 /// batches, forgeries — so one link's deliveries are contiguous.
 /// core::IdSelection's one-pass distinct-link tallies rely on this.
 using Inbox = std::vector<Delivery>;

@@ -20,6 +20,7 @@
 #include "sim/payload.h"
 #include "sim/process.h"
 #include "sim/rng.h"
+#include "trace/event_log.h"
 
 namespace byzrename {
 namespace {
@@ -524,6 +525,133 @@ TEST(FaultHarness, ForgeDropDelayCompositionIsBitReproducible) {
             second.run.metrics.total_injected_forgeries());
   EXPECT_EQ(first.run.metrics.total_injected_restarts(),
             second.run.metrics.total_injected_restarts());
+}
+
+// Network::run_round delivers every message through one fan-out loop.
+// Attaching an inert injector or an event log must not move a single
+// counter, decision or round against the bare network.
+void expect_same_run(const core::ScenarioResult& want, const core::ScenarioResult& got,
+                     const std::string& label) {
+  EXPECT_EQ(want.run.rounds, got.run.rounds) << label;
+  EXPECT_EQ(want.run.decisions, got.run.decisions) << label;
+  EXPECT_EQ(want.run.decide_rounds, got.run.decide_rounds) << label;
+  const std::vector<sim::RoundMetrics>& want_rounds = want.run.metrics.per_round();
+  const std::vector<sim::RoundMetrics>& got_rounds = got.run.metrics.per_round();
+  ASSERT_EQ(want_rounds.size(), got_rounds.size()) << label;
+  for (std::size_t r = 0; r < want_rounds.size(); ++r) {
+    EXPECT_TRUE(want_rounds[r] == got_rounds[r]) << label << " round " << r + 1;
+  }
+  EXPECT_EQ(want.run.metrics.max_message_bits(), got.run.metrics.max_message_bits()) << label;
+  EXPECT_EQ(want.run.metrics.max_correct_message_bits(),
+            got.run.metrics.max_correct_message_bits())
+      << label;
+}
+
+TEST(DeliveryPath, InertPlanAndEventLogChangeNoRoundOfAnyAdversary) {
+  for (const std::string& adversary : adversary::adversary_names()) {
+    for (const int n : {16, 22}) {
+      core::ScenarioConfig plain;
+      plain.params = {.n = n, .t = (n - 1) / 3};
+      plain.adversary = adversary;
+      plain.seed = 7;
+      const core::ScenarioResult bare = core::run_scenario(plain);
+      const std::string label = adversary + " n=" + std::to_string(n);
+
+      core::ScenarioConfig inert = plain;
+      inert.fault_plan = sim::parse_fault_plan("drop:0");
+      expect_same_run(bare, core::run_scenario(inert), label + " drop:0");
+
+      trace::EventLog log;
+      core::ScenarioConfig traced = plain;
+      traced.event_log = &log;
+      expect_same_run(bare, core::run_scenario(traced), label + " traced");
+      EXPECT_FALSE(log.empty()) << label;
+    }
+  }
+}
+
+/// A network of @p n InboxProbes (every process broadcasts one IdMsg a
+/// round) under @p spec, run for @p rounds rounds.
+sim::Metrics run_probes(int n, const char* spec, int rounds, std::size_t* delivered) {
+  const sim::FaultInjector injector(sim::parse_fault_plan(spec), 9);
+  std::vector<std::unique_ptr<sim::ProcessBehavior>> behaviors;
+  for (int i = 0; i < n; ++i) behaviors.push_back(std::make_unique<InboxProbe>(i + 1));
+  std::vector<InboxProbe*> probes;
+  for (auto& behavior : behaviors) probes.push_back(static_cast<InboxProbe*>(behavior.get()));
+  sim::Network net(std::move(behaviors), std::vector<bool>(static_cast<std::size_t>(n), false),
+                   sim::Rng(3));
+  net.attach_fault_injector(&injector);
+  for (int r = 1; r <= rounds; ++r) net.run_round(r);
+  *delivered = 0;
+  for (const InboxProbe* probe : probes) {
+    for (const auto& [round, inbox] : probe->by_round) *delivered += inbox.size();
+  }
+  return net.metrics();
+}
+
+TEST(DeliveryPath, DroppingEveryReceiverChargesNothing) {
+  // Charging is per outbox entry from the count of receivers that were
+  // not dropped: a broadcast nobody receives costs no message, no bit and
+  // must not raise the round's largest-message figure.
+  constexpr int kN = 5;
+  std::size_t delivered = 0;
+  const sim::Metrics metrics = run_probes(kN, "drop:1.0", 3, &delivered);
+  EXPECT_EQ(delivered, 0u);
+  ASSERT_EQ(metrics.rounds(), 3u);
+  for (const sim::RoundMetrics& round : metrics.per_round()) {
+    EXPECT_EQ(round.messages, 0u);
+    EXPECT_EQ(round.bits, 0u);
+    EXPECT_EQ(round.correct_messages, 0u);
+    EXPECT_EQ(round.correct_bits, 0u);
+    EXPECT_EQ(round.max_message_bits, 0u);
+    EXPECT_EQ(round.max_correct_message_bits, 0u);
+    EXPECT_EQ(round.injected_drops, static_cast<std::size_t>(kN * kN));
+  }
+  EXPECT_EQ(metrics.max_message_bits(), 0u);
+}
+
+TEST(DeliveryPath, PartialDropsChargeOnlyTheReceiversReached) {
+  constexpr int kN = 6;
+  std::size_t delivered = 0;
+  const sim::Metrics metrics = run_probes(kN, "drop:0.5", 4, &delivered);
+  EXPECT_GT(metrics.total_injected_drops(), 0u);
+  EXPECT_GT(metrics.total_messages(), 0u);
+  EXPECT_EQ(metrics.total_messages(), delivered);
+  EXPECT_EQ(metrics.total_correct_messages(), delivered);
+  for (const sim::RoundMetrics& round : metrics.per_round()) {
+    EXPECT_EQ(round.messages + round.injected_drops, static_cast<std::size_t>(kN * kN));
+  }
+}
+
+TEST(DeliveryPath, EveryCountedDropHasOneFaultEvent) {
+  // Drops, crash-lost and restart-lost delayed deliveries all count as
+  // injected_drops; each one leaves exactly one kFault event.
+  for (const char* spec :
+       {"delay:1.0x2+restart:1@3", "drop:0.1+delay:0.5x2+restart:2@4,scramble",
+        "crash:1@3..5+delay:0.6x2", "part:0-3@2..4+delay:0.3x1+restart:0@3",
+        "drop:0.2+crash:2@2..6+part:4-6@3..5+delay:0.4x3+restart:1@5+restart:3@6"}) {
+    for (const char* adversary : {"silent", "split"}) {
+      trace::EventLog log;
+      core::ScenarioConfig config;
+      config.params = {.n = 10, .t = 3};
+      config.adversary = adversary;
+      config.seed = 3;
+      config.fault_plan = sim::parse_fault_plan(spec);
+      config.event_log = &log;
+      const core::ScenarioResult result = core::run_scenario(config);
+      std::size_t drop_events = 0;
+      for (const trace::Event& event : log.events()) {
+        if (event.kind != trace::Event::Kind::kFault) continue;
+        if (event.payload == "drop" || event.payload == "crash: delayed delivery lost" ||
+            event.payload == "restart: delayed delivery lost") {
+          drop_events += 1;
+        }
+      }
+      EXPECT_GT(result.run.metrics.total_injected_drops(), 0u) << spec << " " << adversary;
+      EXPECT_EQ(drop_events, result.run.metrics.total_injected_drops())
+          << spec << " " << adversary;
+    }
+  }
 }
 
 TEST(AdversaryRegistry, EveryListedNameResolvesAndUnknownThrows) {

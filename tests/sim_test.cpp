@@ -202,8 +202,8 @@ class LinkOrderProbe final : public ProcessBehavior {
 
 TEST(Network, InboxesArriveInAscendingLinkOrder) {
   // The sim::Inbox contract that IdSelection's one-pass tallies rely on,
-  // on the bulk-broadcast path (no plan) and on the per-delivery injector
-  // path under every plan family that adds, defers or re-homes traffic.
+  // with no plan and under every plan family that adds, defers or
+  // re-homes traffic.
   constexpr int kN = 7;
   const std::vector<bool> byzantine = {false, true, false, false, true, false, false};
   for (const char* spec : {"", "dup:0.5", "delay:0.5x2", "forge:3", "restart:2@3,scramble",
@@ -238,11 +238,9 @@ TEST(Network, InboxesArriveInAscendingLinkOrder) {
 TEST(Metrics, RunningTotalsMatchPerRoundSums) {
   Metrics m;
   m.add_round({.messages = 10, .bits = 800, .correct_messages = 7, .correct_bits = 560,
-               .equivocating_sends = 2});
+               .equivocating_sends = 2, .max_message_bits = 96, .max_correct_message_bits = 64});
   m.add_round({.messages = 4, .bits = 100, .correct_messages = 4, .correct_bits = 100,
-               .equivocating_sends = 0});
-  m.note_message_bits(96, /*correct_sender=*/false);
-  m.note_message_bits(80, /*correct_sender=*/true);
+               .equivocating_sends = 0, .max_message_bits = 80, .max_correct_message_bits = 80});
 
   std::size_t messages = 0, bits = 0, correct_messages = 0, correct_bits = 0, equivocating = 0;
   for (const RoundMetrics& r : m.per_round()) {
